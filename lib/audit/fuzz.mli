@@ -14,7 +14,8 @@
     Every number — schedule shapes, mutation picks, cluster seeds —
     flows from the campaign seed through one {!Lion_kernel.Rng}, so a
     campaign replays byte-for-byte. All op fields are integers (whole
-    µs, percents) so corpus files round-trip exactly. *)
+    µs, percents) so corpus files round-trip exactly through
+    {!Lion_kernel.Json}. *)
 
 (** One scheduled fault or membership operation. Times are absolute
     simulated µs from the run's start; all fields are integers so a
@@ -124,6 +125,8 @@ val to_json : expect:verdict -> case -> string
     identity on files this function wrote. *)
 
 val of_json : string -> (case * verdict, string) Stdlib.result
+(** Read a corpus case back. [Error] names the parse error and its byte
+    offset, or the first field that does not fit the schema. *)
 
 val save : dir:string -> expect:verdict -> case -> string
 (** Write [to_json] under [dir] as ["<name>.json"], creating [dir] if

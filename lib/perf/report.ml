@@ -22,26 +22,14 @@
      wildly throttled CI runners); the allocation and speedup gates
      still apply. *)
 
+module Json = Lion_kernel.Json
+
 let schema = "lion-bench/1"
 let alloc_slack = 1.30
 let wall_slack = 1.30
 let drain_speedup_floor = 3.0
 
 (* ---- emission ---------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let num f =
   (* %.17g round-trips any float; trim the common integral case. *)
@@ -62,7 +50,7 @@ let scenario_json (r : Scenario.result) =
       "events_per_sec": %s,
       "txns_per_sec": %s,
       "minor_words_per_event": %s }|}
-    (json_escape r.Scenario.name) (json_escape r.Scenario.descr)
+    (Json.escape r.Scenario.name) (Json.escape r.Scenario.descr)
     r.Scenario.samples r.Scenario.events_per_op r.Scenario.txns_per_op
     (num r.Scenario.p50_ns) (num r.Scenario.p99_ns)
     (num r.Scenario.minor_words_per_op)
@@ -74,177 +62,42 @@ let write ~path ~date ~quick results =
   let oc = open_out path in
   Printf.fprintf oc
     "{ \"schema\": \"%s\",\n  \"date\": \"%s\",\n  \"quick\": %b,\n  \"scenarios\": [\n%s\n  ]\n}\n"
-    schema (json_escape date) quick
+    schema (Json.escape date) quick
     (String.concat ",\n" (List.map scenario_json results));
   close_out oc
 
-(* ---- minimal JSON reader ----------------------------------------- *)
-
-(* Just enough JSON to read files this module wrote (plus whitespace
-   and field-order tolerance): objects, arrays, strings, numbers,
-   true/false/null. No dependency on a JSON package. *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
+(* ---- loading a bench file back into Scenario.results ------------- *)
 
 exception Parse_error of string
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'; advance ()
-          | '\\' -> Buffer.add_char b '\\'; advance ()
-          | '/' -> Buffer.add_char b '/'; advance ()
-          | 'n' -> Buffer.add_char b '\n'; advance ()
-          | 't' -> Buffer.add_char b '\t'; advance ()
-          | 'r' -> Buffer.add_char b '\r'; advance ()
-          | 'b' -> Buffer.add_char b '\b'; advance ()
-          | 'f' -> Buffer.add_char b '\012'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* ASCII range only — all this module ever emits. *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else Buffer.add_char b '?'
-          | _ -> fail "bad escape");
-          go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (advance (); Obj [])
-        else (
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); fields ((k, v) :: acc)
-            | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields [])
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (advance (); Arr [])
-        else (
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); items (v :: acc)
-            | ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items [])
-    | '"' -> Str (parse_string ())
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (pos := !pos + 4; Bool true)
-        else fail "bad literal"
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (pos := !pos + 5; Bool false)
-        else fail "bad literal"
-    | 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then (pos := !pos + 4; Null)
-        else fail "bad literal"
-    | _ ->
-        let start = !pos in
-        let is_num_char c =
-          (c >= '0' && c <= '9')
-          || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-        in
-        while !pos < n && is_num_char s.[!pos] do advance () done;
-        if !pos = start then fail "unexpected character";
-        Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  parse_json s
-
-(* ---- loading a bench file back into Scenario.results ------------- *)
-
-let field name = function
-  | Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let get_num name j =
-  match field name j with
-  | Some (Num f) -> f
-  | _ -> raise (Parse_error (Printf.sprintf "missing numeric field %S" name))
-
-let get_str name j =
-  match field name j with
-  | Some (Str s) -> s
-  | _ -> raise (Parse_error (Printf.sprintf "missing string field %S" name))
-
 let scenario_of_json j : Scenario.result =
+  let num name = Json.(to_float (member name j)) in
+  let int name = Json.(to_int (member name j)) in
+  let str name = Json.(to_string (member name j)) in
   {
-    Scenario.name = get_str "name" j;
-    descr = get_str "descr" j;
-    samples = int_of_float (get_num "samples" j);
-    events_per_op = int_of_float (get_num "events_per_op" j);
-    txns_per_op = int_of_float (get_num "txns_per_op" j);
-    p50_ns = get_num "p50_ns" j;
-    p99_ns = get_num "p99_ns" j;
-    minor_words_per_op = get_num "minor_words_per_op" j;
-    events_per_sec = get_num "events_per_sec" j;
-    txns_per_sec = get_num "txns_per_sec" j;
-    minor_words_per_event = get_num "minor_words_per_event" j;
+    Scenario.name = str "name";
+    descr = str "descr";
+    samples = int "samples";
+    events_per_op = int "events_per_op";
+    txns_per_op = int "txns_per_op";
+    p50_ns = num "p50_ns";
+    p99_ns = num "p99_ns";
+    minor_words_per_op = num "minor_words_per_op";
+    events_per_sec = num "events_per_sec";
+    txns_per_sec = num "txns_per_sec";
+    minor_words_per_event = num "minor_words_per_event";
   }
 
 let load path : Scenario.result list =
-  let j = read_file path in
-  (match field "schema" j with
-  | Some (Str s) when s = schema -> ()
-  | _ -> raise (Parse_error (Printf.sprintf "%s: not a %s file" path schema)));
-  match field "scenarios" j with
-  | Some (Arr rows) -> List.map scenario_of_json rows
-  | _ -> raise (Parse_error (path ^ ": no scenarios array"))
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let rows j =
+    if Json.(to_string (member "schema" j)) <> schema then
+      raise (Json.Decode_error ("not a " ^ schema ^ " file"));
+    List.map scenario_of_json Json.(to_list (member "scenarios" j))
+  in
+  match Json.decode text rows with
+  | Ok rs -> rs
+  | Error msg -> raise (Parse_error (path ^ ": " ^ msg))
 
 (* ---- gating ------------------------------------------------------ *)
 

@@ -511,6 +511,51 @@ let live_replica_holders t part =
   in
   if t.node_alive.(prim) then prim :: secs else secs
 
+(* The one teardown path for a node leaving service, by crash or by
+   retirement: nothing keyed by the node outlives it. Remasters aimed
+   at it are cancelled now, not by a completion timer that would learn
+   of the death [remaster_delay] later: the inflight flag clears, the
+   optimistically burned cooldown rolls back, and the generation bump
+   turns that timer into a no-op. Rebalance moves aimed at it will
+   never fire [on_ready], so their guards go too, or [rebalance_tick]
+   would wait for them forever. *)
+let take_out_of_service t node =
+  t.node_alive.(node) <- false;
+  Fault.mark_down t.fault node;
+  (* Fail-fast the admission queues: work parked behind the dead
+     node's workers/messengers is shed now (its [on_shed] fires)
+     instead of executing after a grant from a corpse. *)
+  Server.kill t.workers.(node);
+  Server.kill t.services.(node);
+  for part = 0 to Placement.partitions t.placement - 1 do
+    if t.remaster_inflight.(part) && t.remaster_target.(part) = node then begin
+      Metrics.beacon t.metrics "remaster-cancel";
+      Metrics.record_remaster_end t.metrics;
+      t.remaster_inflight.(part) <- false;
+      if t.part_last_remaster.(part) = t.remaster_started_at.(part) then
+        t.part_last_remaster.(part) <- t.remaster_prev.(part);
+      t.remaster_gen.(part) <- t.remaster_gen.(part) + 1;
+      t.remaster_target.(part) <- -1
+    end
+  done;
+  let dead_moves =
+    Hashtbl.fold
+      (fun (p, d) () acc -> if d = node then (p, d) :: acc else acc)
+      t.move_inflight []
+  in
+  List.iter (Hashtbl.remove t.move_inflight) dead_moves;
+  if t.member.(node) then t.membership_version <- t.membership_version + 1
+
+(* The matching bring-up for a join or a recovery. The slot starts a
+   fresh incarnation: bump its epoch first, so every stream opened
+   before is recognisably stale from this instant (docs/MEMBERSHIP.md). *)
+let put_in_service t node =
+  t.node_epoch.(node) <- t.node_epoch.(node) + 1;
+  t.node_alive.(node) <- true;
+  Fault.mark_up t.fault node;
+  Server.revive t.workers.(node);
+  Server.revive t.services.(node)
+
 let rebalance_period t = 1e6 /. t.cfg.Config.rebalance_rate
 
 let rec rebalance_tick t =
@@ -626,12 +671,8 @@ and drain_node_step t node =
           if Placement.replicas_on t.placement node = 0 then begin
             (* Drained: leave the membership for good. *)
             t.draining.(node) <- false;
+            take_out_of_service t node;
             t.member.(node) <- false;
-            t.node_alive.(node) <- false;
-            Fault.mark_down t.fault node;
-            Server.kill t.workers.(node);
-            Server.kill t.services.(node);
-            t.membership_version <- t.membership_version + 1;
             t.decommission_count <- t.decommission_count + 1;
             t.rebalance_done <- now t;
             Log.info (fun m -> m "node %d decommissioned at t=%.0fus" node (now t));
@@ -772,13 +813,7 @@ let join_node t node =
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "join") t.tracer;
     t.member.(node) <- true;
     t.draining.(node) <- false;
-    (* A fresh incarnation: anything still in flight from a previous
-       life of this slot is stale from here on. *)
-    t.node_epoch.(node) <- t.node_epoch.(node) + 1;
-    t.node_alive.(node) <- true;
-    Fault.mark_up t.fault node;
-    Server.revive t.workers.(node);
-    Server.revive t.services.(node);
+    put_in_service t node;
     t.membership_version <- t.membership_version + 1;
     t.join_count <- t.join_count + 1;
     t.rebalance_started <- now t;
@@ -827,40 +862,8 @@ let fail_node t node =
     Log.warn (fun m -> m "node %d failed at t=%.0fus" node (now t));
     Metrics.beacon t.metrics "node-crash";
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "crash") t.tracer;
-    t.node_alive.(node) <- false;
-    Fault.mark_down t.fault node;
-    (* Fail-fast the admission queues: work parked behind the dead
-       node's workers/messengers is shed now (its [on_shed] fires)
-       instead of executing after a grant from a corpse. *)
-    Server.kill t.workers.(node);
-    Server.kill t.services.(node);
+    take_out_of_service t node;
     let parts = Placement.partitions t.placement in
-    (* Cancel in-flight remasters whose transfer target just died:
-       clear the inflight flag and roll back the optimistically burned
-       cooldown now, instead of leaving both to a completion timer that
-       can only discover the death [remaster_delay] later. The
-       generation bump turns that timer into a no-op on every exit
-       path. *)
-    for part = 0 to parts - 1 do
-      if t.remaster_inflight.(part) && t.remaster_target.(part) = node then begin
-        Metrics.beacon t.metrics "remaster-cancel";
-        Metrics.record_remaster_end t.metrics;
-        t.remaster_inflight.(part) <- false;
-        if t.part_last_remaster.(part) = t.remaster_started_at.(part) then
-          t.part_last_remaster.(part) <- t.remaster_prev.(part);
-        t.remaster_gen.(part) <- t.remaster_gen.(part) + 1;
-        t.remaster_target.(part) <- -1
-      end
-    done;
-    (* Rebalance moves headed for the dead node will never fire their
-       [on_ready]: drop their guards so the slot can be retried. *)
-    let dead_moves =
-      Hashtbl.fold
-        (fun (p, d) () acc -> if d = node then (p, d) :: acc else acc)
-        t.move_inflight []
-    in
-    List.iter (Hashtbl.remove t.move_inflight) dead_moves;
-    if t.member.(node) then t.membership_version <- t.membership_version + 1;
     for part = 0 to parts - 1 do
       if Placement.has_secondary t.placement ~part ~node then (
         Placement.remove_secondary t.placement ~part ~node;
@@ -939,14 +942,7 @@ let recover_node t node =
     Log.info (fun m -> m "node %d recovered at t=%.0fus" node (now t));
     Metrics.beacon t.metrics "node-recover";
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "recover") t.tracer;
-    (* The rejoining node is a new incarnation of the slot: bump its
-       epoch first, so every stream opened before the crash is
-       recognisably stale from this instant (docs/MEMBERSHIP.md). *)
-    t.node_epoch.(node) <- t.node_epoch.(node) + 1;
-    t.node_alive.(node) <- true;
-    Fault.mark_up t.fault node;
-    Server.revive t.workers.(node);
-    Server.revive t.services.(node);
+    put_in_service t node;
     let parts = Placement.partitions t.placement in
     (* Purge stale secondaries: [fail_node] dropped every secondary the
        node held, so any secondary present now was left by a layer that
@@ -1390,9 +1386,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
   (* Standby slots are outside the membership until a join: the fault
      layer drops traffic to them and their (empty) queues are closed. *)
   for n = cfg.Config.nodes to slots - 1 do
-    Fault.mark_down fault n;
-    Server.kill t.workers.(n);
-    Server.kill t.services.(n)
+    take_out_of_service t n
   done;
   (* Every initial replica holds its (empty) partition durably — the
      ground-truth rows the durable watermark advances through. *)

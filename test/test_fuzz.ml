@@ -184,36 +184,52 @@ let test_json_round_trip () =
       Alcotest.(check verdict) "expect survives" Fuzz.Liveness expect;
       Alcotest.(check string) "byte-stable" s (Fuzz.to_json ~expect case)
 
+(* Every committed corpus file is exactly what [to_json] writes for the
+   case it holds: this pins the writer's byte layout. *)
+let test_corpus_files_round_trip () =
+  List.iter
+    (fun path ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      match Fuzz.of_json text with
+      | Error msg -> Alcotest.failf "%s: %s" path msg
+      | Ok (case, expect) ->
+          Alcotest.(check string) path text (Fuzz.to_json ~expect case))
+    (corpus_files ())
+
+(* [s] with the first occurrence of [sub] replaced by [by]. *)
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%S not found" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let test_json_decodes_unicode_escape () =
+  let s =
+    Fuzz.to_json ~expect:Fuzz.Clean kitchen_sink
+    |> replace_first ~sub:{|"kitchen-sink"|} ~by:{|"kitchen\u002dsink"|}
+  in
+  match Fuzz.of_json s with
+  | Error msg -> Alcotest.failf "of_json failed: %s" msg
+  | Ok (case, _) -> Alcotest.(check string) "escape decoded" "kitchen-sink" case.Fuzz.name
+
 let test_json_rejects_garbage () =
   let bad s =
     match Fuzz.of_json s with Ok _ -> false | Error _ -> true
   in
+  let good = Fuzz.to_json ~expect:Fuzz.Clean kitchen_sink in
   Alcotest.(check bool) "not json" true (bad "{nope");
   Alcotest.(check bool) "wrong version" true
     (bad "{\"version\": 2, \"name\": \"x\"}");
-  let meteor =
-    let s = Fuzz.to_json ~expect:Fuzz.Clean kitchen_sink in
-    (* Rename the first op kind to something unknown. *)
-    let marker = "\"op\":\"crash\"" in
-    match String.index_opt s '[' with
-    | None -> s
-    | Some _ ->
-        let i =
-          let rec find i =
-            if i + String.length marker > String.length s then -1
-            else if String.sub s i (String.length marker) = marker then i
-            else find (i + 1)
-          in
-          find 0
-        in
-        if i < 0 then s
-        else
-          String.sub s 0 i ^ "\"op\":\"meteor\""
-          ^ String.sub s
-              (i + String.length marker)
-              (String.length s - i - String.length marker)
-  in
-  Alcotest.(check bool) "unknown op" true (bad meteor)
+  Alcotest.(check bool) "unknown op" true
+    (bad (replace_first ~sub:{|"op":"crash"|} ~by:{|"op":"meteor"|} good));
+  Alcotest.(check bool) "misspelt boolean" true
+    (bad (replace_first ~sub:{|"phantom": false|} ~by:{|"phantom": tzzz|} good));
+  Alcotest.(check bool) "fractional integer field" true
+    (bad (replace_first ~sub:{|"seed": 12345|} ~by:{|"seed": 1.5|} good))
 
 (* --- liveness audit --- *)
 
@@ -327,6 +343,10 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
+          Alcotest.test_case "corpus files round trip" `Quick
+            test_corpus_files_round_trip;
+          Alcotest.test_case "decodes unicode escape" `Quick
+            test_json_decodes_unicode_escape;
         ] );
       ( "liveness",
         [

@@ -1,5 +1,5 @@
 (* Unit and property tests for lion_kernel: PRNG, zipfian sampling,
-   priority queue, statistics, time series, table rendering. *)
+   priority queue, statistics, time series, table rendering, JSON. *)
 
 open Lion_kernel
 
@@ -375,6 +375,100 @@ let test_table_cell_formatting () =
   Alcotest.(check string) "float decimals" "3.14" (Table.cell_float ~decimals:2 3.14159);
   Alcotest.(check string) "int cell" "42" (Table.cell_int 42)
 
+(* --- json --- *)
+
+let json_ok s =
+  match Json.parse s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%S: %s" s (Json.error_to_string e)
+
+let check_json_error s ~message ~offset =
+  match Json.parse s with
+  | Ok _ -> Alcotest.failf "%S parsed" s
+  | Error e ->
+      Alcotest.(check string) (s ^ " message") message e.Json.message;
+      Alcotest.(check int) (s ^ " offset") offset e.Json.offset
+
+let test_json_unterminated_string () =
+  check_json_error "{\"a\": \"abc" ~message:"unterminated string" ~offset:10;
+  check_json_error "\"" ~message:"unterminated string" ~offset:1
+
+let test_json_trailing_garbage () =
+  check_json_error "[1, 2] x" ~message:"trailing garbage" ~offset:7;
+  check_json_error "{} {}" ~message:"trailing garbage" ~offset:3;
+  check_json_error "" ~message:"unexpected end of input" ~offset:0
+
+let test_json_bad_literal () =
+  check_json_error "tzzz" ~message:"bad literal" ~offset:0;
+  check_json_error "[nul]" ~message:"bad literal" ~offset:1;
+  check_json_error "{\"phantom\": tru}" ~message:"bad literal" ~offset:12;
+  Alcotest.(check bool) "literals" true
+    (json_ok " [true, false, null] " = Json.List [ Bool true; Bool false; Null ])
+
+let test_json_nested_arrays () =
+  let v = json_ok "[[1, [2, []]], [], [[[\"x\"]]], {\"k\": [{}]}]" in
+  let open Json in
+  Alcotest.(check bool) "structure" true
+    (v
+    = List
+        [
+          List [ Int 1; List [ Int 2; List [] ] ];
+          List [];
+          List [ List [ List [ String "x" ] ] ];
+          Object [ ("k", List [ Object [] ]) ];
+        ]);
+  check_json_error "[[1, 2]" ~message:"expected ',' or ']'" ~offset:7
+
+let test_json_int_vs_float () =
+  let v = json_ok "[0, -7, 1.5, 1e3, 12345678901234567890, -0.25E-2]" in
+  let open Json in
+  Alcotest.(check bool) "kinds" true
+    (v
+    = List
+        [
+          Int 0;
+          Int (-7);
+          Float 1.5;
+          Float 1000.0;
+          Float 12345678901234567890.0;
+          Float (-0.0025);
+        ]);
+  Alcotest.(check int) "to_int" 42 (to_int (json_ok "42"));
+  Alcotest.(check (float 0.0)) "to_float widens an Int" 7.0 (to_float (Int 7));
+  Alcotest.check_raises "to_int rejects a float" (Decode_error "expected an integer")
+    (fun () -> ignore (to_int (json_ok "1.5")));
+  let f = 0.1 +. 0.2 in
+  Alcotest.(check bool) "%.17g round-trips" true
+    (json_ok (Printf.sprintf "%.17g" f) = Float f);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true (Result.is_error (parse s)))
+    [ "01"; "+1"; "1."; ".5"; "-"; "1e"; "[1,]" ]
+
+let test_json_strings () =
+  let all_bytes = String.init 256 Char.chr in
+  Alcotest.(check bool) "escape round-trips every byte" true
+    (json_ok ("\"" ^ Json.escape all_bytes ^ "\"") = Json.String all_bytes);
+  Alcotest.(check string) "escape form" "a\\\"b\\\\c\\n\\t\\u0001"
+    (Json.escape "a\"b\\c\n\t\001");
+  Alcotest.(check string) "plain text unchanged" "lion-batch" (Json.escape "lion-batch");
+  Alcotest.(check bool) "\\u escapes decode to UTF-8" true
+    (json_ok "\"\\u002d\\u00e9\\ud83d\\ude00\\/\"" = Json.String "-\xc3\xa9\xf0\x9f\x98\x80/");
+  check_json_error "\"\\udc00\"" ~message:"unpaired surrogate" ~offset:7;
+  check_json_error "\"\\ud83dx\"" ~message:"unpaired surrogate" ~offset:7;
+  check_json_error "\"\\x\"" ~message:"bad escape" ~offset:2;
+  check_json_error "\"a\nb\"" ~message:"control character in string" ~offset:2
+
+let test_json_accessors () =
+  let v = json_ok "{\"n\": 3, \"s\": \"x\", \"l\": [true]}" in
+  Alcotest.(check int) "member" 3 Json.(to_int (member "n" v));
+  Alcotest.(check (result int string)) "decode" (Ok 1)
+    (Json.decode "{\"l\": [true]}" (fun v -> List.length Json.(to_list (member "l" v))));
+  Alcotest.(check (result int string)) "missing field" (Error "missing field \"m\"")
+    (Json.decode "{}" (fun v -> Json.(to_int (member "m" v))));
+  Alcotest.(check (result int string)) "parse error" (Error "bad literal at offset 0")
+    (Json.decode "nope" (fun _ -> 0))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -441,5 +535,15 @@ let () =
           Alcotest.test_case "renders" `Quick test_table_renders_aligned;
           Alcotest.test_case "pads short rows" `Quick test_table_pads_short_rows;
           Alcotest.test_case "cell formatting" `Quick test_table_cell_formatting;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "unterminated string" `Quick test_json_unterminated_string;
+          Alcotest.test_case "trailing garbage" `Quick test_json_trailing_garbage;
+          Alcotest.test_case "bad literal" `Quick test_json_bad_literal;
+          Alcotest.test_case "nested arrays" `Quick test_json_nested_arrays;
+          Alcotest.test_case "integer versus float" `Quick test_json_int_vs_float;
+          Alcotest.test_case "strings and escapes" `Quick test_json_strings;
+          Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
     ]
