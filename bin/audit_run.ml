@@ -117,7 +117,7 @@ let assert_rejoin_safe ~seed ~seconds ~clients ~cross ~skew () =
         let ok = Drive.passed o in
         Printf.printf "tagging on   %-5s: %s (%d stale acks rejected)\n" name
           (if ok then "clean" else "DIVERGED")
-          o.Drive.stale_rejections;
+          (Lion_sim.Metrics.read o.Drive.counters Stale_acks);
         ok)
       [ "lion"; "star"; "2pc" ]
   in

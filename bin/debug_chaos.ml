@@ -79,6 +79,7 @@ let () =
       ~gen:(Workloads.ycsb ~cross:0.5 cfg)
       { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
   in
+  let count = Lion_sim.Metrics.read r.Runner.counters in
   let anomalies =
     Option.map
       (fun h ->
@@ -105,7 +106,7 @@ let () =
       crashed (fl fail_s) (fl recover_s) (fl total)
       (series (fun v -> fl v) r.Runner.throughput_series)
       (series (fun v -> fl v) r.Runner.availability)
-      r.Runner.timeouts r.Runner.retries r.Runner.drops
+      (count Timeouts) (count Retries) (count Drops)
       (fl r.Runner.unavail_seconds)
       (if Float.is_finite r.Runner.time_to_recover then
          fl r.Runner.time_to_recover
@@ -126,7 +127,7 @@ let () =
       r.Runner.throughput_series;
     Printf.printf
       "timeouts %d  retries %d  drops %d  unavail %.1fs  recovery %s  goodput %.1fk\n"
-      r.Runner.timeouts r.Runner.retries r.Runner.drops r.Runner.unavail_seconds
+      (count Timeouts) (count Retries) (count Drops) r.Runner.unavail_seconds
       (if Float.is_finite r.Runner.time_to_recover then
          Printf.sprintf "%.0fs" r.Runner.time_to_recover
        else "not yet")

@@ -63,7 +63,7 @@ let () =
     proto.Proto.tick ();
     let c = Metrics.commits cl.Cluster.metrics in
     let r = cl.Cluster.remaster_count and a = cl.Cluster.replica_add_count in
-    let ab = Metrics.aborts cl.Cluster.metrics in
+    let ab = Metrics.get cl.Cluster.metrics Aborts in
     let loads = Array.map (fun s -> Server.busy_time s /. 1e6) cl.Cluster.workers in
     Printf.printf "t=%ds commits/s=%d remasters=%d adds=%d aborts=%d single=%.2f loads=[%s]\n%!"
       sec (c - !last_commits) (r - !last_rem) (a - !last_adds) (ab - !last_aborts)

@@ -18,8 +18,7 @@ type outcome = {
   aborts : int;
   min_availability : float;
   resyncs : int;
-  stale_rejections : int;
-  replica_purges : int;
+  counters : Metrics.snapshot;
   exhausted : bool;
   pending_events : int;
   final_time : float;
@@ -118,11 +117,10 @@ let run ?(seed = 1) ?(clients = 8) ?(duration = 4.0) ?(nemesis_at = 1.0)
     submitted = !submitted;
     completed = !completed;
     commits = Metrics.commits metrics;
-    aborts = Metrics.aborts metrics;
+    aborts = Metrics.get metrics Aborts;
     min_availability = !min_avail;
     resyncs = cl.Cluster.resync_count;
-    stale_rejections = Metrics.stale_ack_rejections metrics;
-    replica_purges = Metrics.replica_purges metrics;
+    counters = Metrics.snapshot metrics;
     exhausted = Engine.last_run_exhausted engine;
     pending_events = Engine.pending engine;
     final_time = Engine.now engine;

@@ -22,13 +22,11 @@ type outcome = {
       (** lowest 100 ms-sampled {!Lion_store.Cluster.availability}
           before the horizon *)
   resyncs : int;  (** anti-entropy repairs that completed *)
-  stale_rejections : int;
-      (** stale-session stream deliveries rejected by tagging
-          ([Metrics.stale_ack_rejections]; 0 unless
-          [Config.session_tagging]) *)
-  replica_purges : int;
-      (** stale secondaries purged at node recovery
-          ([Metrics.replica_purges]) *)
+  counters : Lion_sim.Metrics.snapshot;
+      (** every {!Lion_sim.Metrics.counter} over the whole run, e.g.
+          [Stale_acks] (stale-session deliveries rejected by tagging; 0
+          unless [Config.session_tagging]) and [Replica_purges] (stale
+          secondaries purged at node recovery) *)
   exhausted : bool;
       (** the drain stopped on [max_events] instead of emptying the
           queue — also reported as a liveness finding, never a silent

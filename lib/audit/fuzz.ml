@@ -156,28 +156,12 @@ let actions_of_case c =
 
 (* {2 Coverage signal} *)
 
-let counter_specs =
-  [
-    ("timeouts", Metrics.timeouts);
-    ("retries", Metrics.retries);
-    ("drops", Metrics.drops);
-    ("sheds", Metrics.sheds);
-    ("breaker-rejects", Metrics.breaker_rejects);
-    ("breaker-opens", Metrics.breaker_opens);
-    ("breaker-half-opens", Metrics.breaker_half_opens);
-    ("budget-denials", Metrics.budget_denials);
-    ("deadline-giveups", Metrics.deadline_giveups);
-    ("stale-acks", Metrics.stale_ack_rejections);
-    ("replica-purges", Metrics.replica_purges);
-    ("remasters", Metrics.remaster_begins);
-    ("aborts", Metrics.aborts);
-  ]
-
 let coverage_of cl =
   let m = cl.Cluster.metrics in
   List.filter_map
-    (fun (n, f) -> if f m > 0 then Some ("m:" ^ n) else None)
-    counter_specs
+    (fun c ->
+      if Metrics.get m c > 0 then Some ("m:" ^ Metrics.counter_name c) else None)
+    Metrics.all_counters
   @ List.map (fun (n, _) -> "b:" ^ n) (Metrics.beacons m)
 
 let divergence_class = function

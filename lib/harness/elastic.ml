@@ -20,9 +20,8 @@ type report = {
   rebalance_migrations : int;
   time_to_rebalance : float list;
   dips : (string * float * float) list;
-  stale_ack_rejections : int;
   commits : int;
-  aborts : int;
+  counters : Metrics.snapshot;
 }
 
 (* Diurnal offered rate: one raised-cosine cycle from trough to peak
@@ -220,9 +219,8 @@ let run ?(seed = 1) ?(smoke = false) () =
     rebalance_migrations = cl.Cluster.rebalance_migrations;
     time_to_rebalance = List.rev !ttr;
     dips;
-    stale_ack_rejections = Metrics.stale_ack_rejections metrics;
     commits = Metrics.commits metrics;
-    aborts = Metrics.aborts metrics;
+    counters = Metrics.snapshot metrics;
   }
 
 let print_report r =
@@ -259,4 +257,6 @@ let print_report r =
         (100.0 *. depth) dur)
     r.dips;
   Printf.printf "stale-ack rejections %d, commits %d, aborts %d\n"
-    r.stale_ack_rejections r.commits r.aborts
+    (Metrics.read r.counters Stale_acks)
+    r.commits
+    (Metrics.read r.counters Aborts)

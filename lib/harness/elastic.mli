@@ -37,9 +37,9 @@ type report = {
   dips : (string * float * float) list;
       (** per scale event: (kind, depth in [0,1], duration in s) of the
           completion-ratio dip in the following window *)
-  stale_ack_rejections : int;
   commits : int;
-  aborts : int;
+  counters : Lion_sim.Metrics.snapshot;
+      (** every {!Lion_sim.Metrics.counter} over the whole run *)
 }
 
 val run : ?seed:int -> ?smoke:bool -> unit -> report

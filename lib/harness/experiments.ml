@@ -835,17 +835,13 @@ let fault_crash_sweep ?(scale = 1.0) () =
           { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
       in
       Table.add_row t
-        [
-          string_of_int k;
-          fmt_k r.Runner.throughput;
-          Table.cell_int r.Runner.aborts;
-          Table.cell_int r.Runner.timeouts;
-          Table.cell_int r.Runner.retries;
-          Table.cell_int r.Runner.drops;
-          Table.cell_float ~decimals:1 r.Runner.unavail_seconds;
-          fmt_ttr r.Runner.time_to_recover;
-          fmt_k r.Runner.goodput_under_fault;
-        ])
+        ([ string_of_int k; fmt_k r.Runner.throughput; Table.cell_int r.Runner.aborts ]
+        @ Export.counter_cells r Metrics.[ Timeouts; Retries; Drops ]
+        @ [
+            Table.cell_float ~decimals:1 r.Runner.unavail_seconds;
+            fmt_ttr r.Runner.time_to_recover;
+            fmt_k r.Runner.goodput_under_fault;
+          ]))
     [ 0; 1; 2 ];
   Table.print t
 
@@ -880,14 +876,8 @@ let fault_partition ?(scale = 1.0) () =
           { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
       in
       Table.add_row t
-        [
-          name;
-          fmt_k r.Runner.throughput;
-          Table.cell_int r.Runner.aborts;
-          Table.cell_int r.Runner.timeouts;
-          Table.cell_int r.Runner.retries;
-          Table.cell_int r.Runner.drops;
-        ])
+        ([ name; fmt_k r.Runner.throughput; Table.cell_int r.Runner.aborts ]
+        @ Export.counter_cells r Metrics.[ Timeouts; Retries; Drops ]))
     [
       ("2PC", fun cl -> Lion_protocols.Twopc.create cl);
       ("Lion", lion_std_make);

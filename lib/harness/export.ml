@@ -37,6 +37,19 @@ let series_csv ~path series =
 
 module Metrics = Lion_sim.Metrics
 
+let counter_columns =
+  List.map (fun c -> String.map (function '-' -> '_' | ch -> ch) (Metrics.counter_name c))
+
+let counter_cells r =
+  List.map (fun c -> string_of_int (Metrics.read r.Runner.counters c))
+
+let overload_counters =
+  Metrics.
+    [
+      Sheds; Breaker_rejects; Breaker_opens; Budget_denials; Deadline_giveups;
+      Deadline_misses;
+    ]
+
 let result_rows results =
   let header =
     [
@@ -47,12 +60,12 @@ let result_rows results =
     @ List.map
         (fun p -> "frac_" ^ Metrics.phase_name p)
         Metrics.all_phases
+    @ counter_columns Metrics.[ Timeouts; Retries; Drops ]
     @ [
-        "timeouts"; "retries"; "drops"; "unavail_s"; "time_to_recover_s";
-        "goodput_under_fault"; "offered_txn_s"; "goodput_txn_s"; "p99_us";
-        "sheds"; "breaker_rejects"; "breaker_opens"; "budget_denials";
-        "deadline_giveups"; "deadline_misses";
+        "unavail_s"; "time_to_recover_s"; "goodput_under_fault"; "offered_txn_s";
+        "goodput_txn_s"; "p99_us";
       ]
+    @ counter_columns overload_counters
   in
   let row (label, (r : Runner.result)) =
     [
@@ -78,10 +91,8 @@ let result_rows results =
           in
           Printf.sprintf "%.4f" f)
         Metrics.all_phases
+    @ counter_cells r Metrics.[ Timeouts; Retries; Drops ]
     @ [
-        string_of_int r.Runner.timeouts;
-        string_of_int r.Runner.retries;
-        string_of_int r.Runner.drops;
         Printf.sprintf "%.1f" r.Runner.unavail_seconds;
         (if r.Runner.time_to_recover = infinity then "inf"
          else Printf.sprintf "%.1f" r.Runner.time_to_recover);
@@ -89,13 +100,8 @@ let result_rows results =
         Printf.sprintf "%.1f" r.Runner.offered;
         Printf.sprintf "%.1f" r.Runner.goodput;
         Printf.sprintf "%.1f" r.Runner.p99;
-        string_of_int r.Runner.sheds;
-        string_of_int r.Runner.breaker_rejects;
-        string_of_int r.Runner.breaker_opens;
-        string_of_int r.Runner.budget_denials;
-        string_of_int r.Runner.deadline_giveups;
-        string_of_int r.Runner.deadline_misses;
       ]
+    @ counter_cells r overload_counters
   in
   (header, List.map row results)
 

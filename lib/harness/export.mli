@@ -19,3 +19,11 @@ val result_rows : (string * Runner.result) list -> string list * string list lis
     — "inf" when the run ends degraded — and goodput under fault). *)
 
 val result_csv : path:string -> (string * Runner.result) list -> unit
+
+val counter_columns : Lion_sim.Metrics.counter list -> string list
+(** CSV column names for counters: {!Lion_sim.Metrics.counter_name}
+    with [_] for [-] (["breaker_rejects"]). *)
+
+val counter_cells :
+  Runner.result -> Lion_sim.Metrics.counter list -> string list
+(** The matching cells: each counter's measured-window count. *)

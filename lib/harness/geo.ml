@@ -86,7 +86,8 @@ let run_one ?(seed = 7) ~scale ~batch ~cfg ~make ~cross () =
   let wan_bytes, wan_msgs =
     match !captured with
     | Some cl ->
-        (Metrics.wan_bytes cl.Cluster.metrics, Metrics.wan_messages cl.Cluster.metrics)
+        let m = cl.Cluster.metrics in
+        (Metrics.get m Wan_bytes, Metrics.get m Wan_messages)
     | None -> (0, 0)
   in
   {
@@ -210,7 +211,7 @@ let print_partition ?(scale = 1.0) results =
           fmt_k
             (series_mean series ~from_s:(at +. duration)
                ~until_s:(float_of_int (Array.length series)));
-          string_of_int r.Runner.timeouts;
+          string_of_int (Metrics.read r.Runner.counters Timeouts);
           string_of_int r.Runner.aborts;
         ])
     results;

@@ -7,6 +7,7 @@
 module Config = Lion_store.Config
 module Engine = Lion_sim.Engine
 module Fault = Lion_sim.Fault
+module Metrics = Lion_sim.Metrics
 module Table = Lion_kernel.Table
 module Planner = Lion_core.Planner
 
@@ -103,14 +104,20 @@ let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
 let sweep ?seed ?scale ?protect ?ratios () =
   List.map (fun spec -> sweep_one ?seed ?scale ?protect ?ratios spec) specs
 
+let sweep_counters =
+  Metrics.
+    [
+      Sheds; Timeouts; Retries; Breaker_rejects; Breaker_opens; Budget_denials;
+      Deadline_giveups; Deadline_misses;
+    ]
+
 let sweep_rows sweeps =
   let header =
     [
       "proto"; "protected"; "ratio"; "capacity_txn_s"; "offered_txn_s";
-      "throughput_txn_s"; "goodput_txn_s"; "p99_us"; "sheds"; "timeouts";
-      "retries"; "breaker_rejects"; "breaker_opens"; "budget_denials";
-      "deadline_giveups"; "deadline_misses";
+      "throughput_txn_s"; "goodput_txn_s"; "p99_us";
     ]
+    @ Export.counter_columns sweep_counters
   in
   let rows =
     List.concat_map
@@ -127,15 +134,8 @@ let sweep_rows sweeps =
               Printf.sprintf "%.1f" r.Runner.throughput;
               Printf.sprintf "%.1f" r.Runner.goodput;
               Printf.sprintf "%.1f" r.Runner.p99;
-              string_of_int r.Runner.sheds;
-              string_of_int r.Runner.timeouts;
-              string_of_int r.Runner.retries;
-              string_of_int r.Runner.breaker_rejects;
-              string_of_int r.Runner.breaker_opens;
-              string_of_int r.Runner.budget_denials;
-              string_of_int r.Runner.deadline_giveups;
-              string_of_int r.Runner.deadline_misses;
-            ])
+            ]
+            @ Export.counter_cells r sweep_counters)
           s.points)
       sweeps
   in
@@ -162,16 +162,14 @@ let print_sweeps sweeps =
         (fun p ->
           let r = p.result in
           Table.add_row t
-            [
-              Printf.sprintf "%.2f" p.ratio;
-              Table.cell_float ~decimals:0 r.Runner.offered;
-              Table.cell_float ~decimals:0 r.Runner.throughput;
-              Table.cell_float ~decimals:0 r.Runner.goodput;
-              Table.cell_float ~decimals:1 (r.Runner.p99 /. 1000.0);
-              Table.cell_int r.Runner.sheds;
-              Table.cell_int r.Runner.timeouts;
-              Table.cell_int r.Runner.deadline_giveups;
-            ])
+            ([
+               Printf.sprintf "%.2f" p.ratio;
+               Table.cell_float ~decimals:0 r.Runner.offered;
+               Table.cell_float ~decimals:0 r.Runner.throughput;
+               Table.cell_float ~decimals:0 r.Runner.goodput;
+               Table.cell_float ~decimals:1 (r.Runner.p99 /. 1000.0);
+             ]
+            @ Export.counter_cells r Metrics.[ Sheds; Timeouts; Deadline_giveups ]))
         s.points;
       Table.print t)
     sweeps
@@ -311,7 +309,7 @@ let print_metastable metas =
           Table.cell_float ~decimals:0 m.tail;
           Table.cell_float ~decimals:2
             (if m.peak > 0.0 then m.tail /. m.peak else 0.0);
-          Table.cell_int m.result.Runner.deadline_giveups;
+          Table.cell_int (Metrics.read m.result.Runner.counters Deadline_giveups);
         ])
     metas;
   Table.print t;

@@ -51,16 +51,7 @@ type result = {
   phase_fractions : (Metrics.phase * float) list;
   remasters : int;
   replica_adds : int;
-  timeouts : int;
-  retries : int;
-  drops : int;
-  sheds : int;
-  breaker_rejects : int;
-  breaker_opens : int;
-  budget_denials : int;
-  deadline_giveups : int;
-  deadline_misses : int;
-  stale_ack_rejections : int;
+  counters : Metrics.snapshot;
   availability : float array;
   unavail_seconds : float;
   time_to_recover : float;
@@ -201,14 +192,14 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?tracer ?history
        client had already given up on them. Without a deadline it
        equals throughput. *)
     goodput =
-      float_of_int (commits - Metrics.deadline_misses metrics) /. rc.duration;
+      float_of_int (commits - Metrics.get metrics Deadline_misses) /. rc.duration;
     offered =
       (match rc.arrival with
       | Closed -> throughput
       | Poisson _ | Uniform _ ->
           float_of_int !measured_arrivals /. rc.duration);
     commits;
-    aborts = Metrics.aborts metrics;
+    aborts = Metrics.get metrics Aborts;
     p50 = Metrics.latency_percentile metrics 50.0;
     p75 = Metrics.latency_percentile metrics 75.0;
     p90 = Metrics.latency_percentile metrics 90.0;
@@ -230,16 +221,7 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?tracer ?history
       List.map (fun p -> (p, Metrics.phase_fraction metrics p)) Metrics.all_phases;
     remasters = cl.Cluster.remaster_count;
     replica_adds = cl.Cluster.replica_add_count;
-    timeouts = Metrics.timeouts metrics;
-    retries = Metrics.retries metrics;
-    drops = Metrics.drops metrics;
-    sheds = Metrics.sheds metrics;
-    breaker_rejects = Metrics.breaker_rejects metrics;
-    breaker_opens = Metrics.breaker_opens metrics;
-    budget_denials = Metrics.budget_denials metrics;
-    deadline_giveups = Metrics.deadline_giveups metrics;
-    deadline_misses = Metrics.deadline_misses metrics;
-    stale_ack_rejections = Metrics.stale_ack_rejections metrics;
+    counters = Metrics.snapshot metrics;
     availability;
     unavail_seconds;
     time_to_recover;

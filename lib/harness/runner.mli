@@ -58,25 +58,10 @@ type result = {
   phase_fractions : (Lion_sim.Metrics.phase * float) list;
   remasters : int;  (** cluster-wide remaster operations *)
   replica_adds : int;
-  timeouts : int;  (** RPCs that exhausted their retries (measured window) *)
-  retries : int;  (** RPC retransmissions after a loss (measured window) *)
-  drops : int;  (** messages killed by the fault layer (measured window) *)
-  sheds : int;
-      (** requests turned away by admission control — bounded queues,
-          CoDel, dead-node drains (measured window) *)
-  breaker_rejects : int;  (** RPCs fast-failed by an open circuit breaker *)
-  breaker_opens : int;  (** circuit-breaker trips (measured window) *)
-  budget_denials : int;
-      (** retransmissions abandoned for lack of retry-budget tokens *)
-  deadline_giveups : int;
-      (** transactions shed past their deadline instead of retried *)
-  deadline_misses : int;
-      (** transactions committed after their deadline (counted in
-          [throughput], discounted from [goodput]) *)
-  stale_ack_rejections : int;
-      (** stale-session replication deliveries rejected by
-          [Config.session_tagging] (measured window; always 0 with
-          tagging off) *)
+  counters : Lion_sim.Metrics.snapshot;
+      (** every {!Lion_sim.Metrics.counter} over the measured window
+          (timeouts, retries, drops, sheds, breaker, deadline and
+          stale-ack counters …); read with {!Lion_sim.Metrics.read} *)
   availability : float array;
       (** per-second availability samples (incl. warmup); see
           [Cluster.availability] *)

@@ -159,7 +159,7 @@ and close_epoch t =
               cfg.Config.txn_deadline > 0.0
               && latency > cfg.Config.txn_deadline
             in
-            if late then Metrics.record_deadline_miss cl.Cluster.metrics;
+            if late then Metrics.incr cl.Cluster.metrics Deadline_misses;
             let single_node =
               peers = []
               && List.for_all
@@ -211,11 +211,11 @@ and abort_retry t (p : pending) =
   let cl = t.cl in
   let engine = cl.Cluster.engine in
   record_outcome t p History.Aborted;
-  Metrics.record_abort cl.Cluster.metrics;
+  Metrics.incr cl.Cluster.metrics Aborts;
   Trace.note_abort ~ts:(Engine.now engine) p.octx;
   let cfg = cl.Cluster.cfg in
   let give_up reason =
-    Metrics.record_deadline_giveup cl.Cluster.metrics;
+    Metrics.incr cl.Cluster.metrics Deadline_giveups;
     Trace.note ~ts:(Engine.now engine) reason p.octx;
     Trace.finish_txn ~ts:(Engine.now engine) ~ok:false p.octx
   in
@@ -261,9 +261,9 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
     (* Shed at admission or the coordinator died under us: no session
        state to abort — pay a backoff and re-route. *)
     Trace.finish ~ts:(Engine.now engine) actx;
-    Metrics.record_abort cl.Cluster.metrics;
+    Metrics.incr cl.Cluster.metrics Aborts;
     if attempt >= max_attempts then (
-      Metrics.record_deadline_giveup cl.Cluster.metrics;
+      Metrics.incr cl.Cluster.metrics Deadline_giveups;
       Trace.finish_txn ~ts:(Engine.now engine) ~ok:false octx;
       on_parked ())
     else

@@ -285,7 +285,7 @@ let attempt ?ctx ?(attempt_no = 1) ?deadline cl ~coordinator ~txn ~flavor ~k =
                    time out and abort, the retry loop keeps probing
                    until the partition's node recovers. *)
                 Engine.schedule engine ~delay:cfg.Config.rpc_timeout (fun () ->
-                    Metrics.record_timeout cl.Cluster.metrics;
+                    Metrics.incr cl.Cluster.metrics Timeouts;
                     Trace.note ~ts:(Engine.now engine) "timeout" ctx;
                     fail_txn ())
               else (
@@ -530,7 +530,7 @@ let run cl ~route ~flavor txn ~on_done =
           (* Committed but late: it still counts as a commit (throughput)
              while goodput discounts it — the client gave up waiting. *)
           let late = deadline <> None && latency > cfg.Config.txn_deadline in
-          if late then Metrics.record_deadline_miss cl.Cluster.metrics;
+          if late then Metrics.incr cl.Cluster.metrics Deadline_misses;
           let gctx =
             Trace.child ~phase:"replication" ~name:"group-commit-wait"
               ~ts:(Engine.now engine) octx
@@ -544,7 +544,7 @@ let run cl ~route ~flavor txn ~on_done =
         else (
           Trace.note_abort ~ts:(Engine.now engine)
             (match actx with Some _ -> actx | None -> octx);
-          Metrics.record_abort cl.Cluster.metrics;
+          Metrics.incr cl.Cluster.metrics Aborts;
           match enforced with
           | Some d when Engine.now engine >= d ->
               (* Deadline propagation, load-shedding half: a transaction
@@ -552,7 +552,7 @@ let run cl ~route ~flavor txn ~on_done =
                  consuming retries — the metastable sustaining loop
                  (ever-growing population of retrying zombies) is cut
                  here. *)
-              Metrics.record_deadline_giveup cl.Cluster.metrics;
+              Metrics.incr cl.Cluster.metrics Deadline_giveups;
               Trace.note ~ts:(Engine.now engine) "deadline-giveup" octx;
               Trace.finish_txn ~ts:(Engine.now engine) ~ok:false octx;
               on_done ()

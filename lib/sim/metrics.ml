@@ -22,10 +22,80 @@ let phase_index = function
   | Scheduling -> 4
   | Replication -> 5
 
+type counter =
+  | Aborts
+  | Timeouts
+  | Retries
+  | Drops
+  | Sheds
+  | Breaker_rejects
+  | Breaker_opens
+  | Breaker_half_opens
+  | Budget_denials
+  | Deadline_giveups
+  | Deadline_misses
+  | Stale_acks
+  | Replica_purges
+  | Remaster_begins
+  | Wan_messages
+  | Wan_bytes
+  | Lan_messages
+  | Lan_bytes
+
+let all_counters =
+  [
+    Aborts; Timeouts; Retries; Drops; Sheds; Breaker_rejects; Breaker_opens;
+    Breaker_half_opens; Budget_denials; Deadline_giveups; Deadline_misses;
+    Stale_acks; Replica_purges; Remaster_begins; Wan_messages; Wan_bytes;
+    Lan_messages; Lan_bytes;
+  ]
+
+let n_counters = List.length all_counters
+
+(* Slot in [t.counts]: declaration order, the order of [all_counters]. *)
+let counter_index = function
+  | Aborts -> 0
+  | Timeouts -> 1
+  | Retries -> 2
+  | Drops -> 3
+  | Sheds -> 4
+  | Breaker_rejects -> 5
+  | Breaker_opens -> 6
+  | Breaker_half_opens -> 7
+  | Budget_denials -> 8
+  | Deadline_giveups -> 9
+  | Deadline_misses -> 10
+  | Stale_acks -> 11
+  | Replica_purges -> 12
+  | Remaster_begins -> 13
+  | Wan_messages -> 14
+  | Wan_bytes -> 15
+  | Lan_messages -> 16
+  | Lan_bytes -> 17
+
+let counter_name = function
+  | Aborts -> "aborts"
+  | Timeouts -> "timeouts"
+  | Retries -> "retries"
+  | Drops -> "drops"
+  | Sheds -> "sheds"
+  | Breaker_rejects -> "breaker-rejects"
+  | Breaker_opens -> "breaker-opens"
+  | Breaker_half_opens -> "breaker-half-opens"
+  | Budget_denials -> "budget-denials"
+  | Deadline_giveups -> "deadline-giveups"
+  | Deadline_misses -> "deadline-misses"
+  | Stale_acks -> "stale-acks"
+  | Replica_purges -> "replica-purges"
+  | Remaster_begins -> "remasters"
+  | Wan_messages -> "wan-messages"
+  | Wan_bytes -> "wan-bytes"
+  | Lan_messages -> "lan-messages"
+  | Lan_bytes -> "lan-bytes"
+
 type t = {
   engine : Engine.t;
   mutable commits : int;
-  mutable aborts : int;
   mutable single_node : int;
   mutable remastered : int;
   latency : Stats.Reservoir.t;
@@ -33,28 +103,7 @@ type t = {
   mutable total_latency : float;
   series : Timeseries.t;
   good_series : Timeseries.t;
-  mutable timeouts : int;
-  mutable retries : int;
-  mutable drops : int;
-  mutable sheds : int;
-  mutable breaker_rejects : int;
-  mutable breaker_opens : int;
-  mutable breaker_half_opens : int;
-  mutable budget_denials : int;
-  mutable deadline_giveups : int;
-  mutable deadline_misses : int;
-  mutable stale_acks : int;
-  mutable replica_purges : int;
-  mutable remaster_begins : int;
-  mutable remasters_inflight : int;
-  (* Region-link accounting, bumped by [Network.send] only when a
-     region topology is installed: every message is either intra-region
-     (LAN) or cross-region (WAN). Region-free runs leave all four at
-     0. *)
-  mutable wan_msgs : int;
-  mutable wan_bytes : int;
-  mutable lan_msgs : int;
-  mutable lan_bytes : int;
+  counts : int array;  (* indexed by [counter_index] *)
   (* Code-path beacons: named control-flow waypoints (elections,
      purges, cancelled remasters, anti-entropy rounds …) recorded as
      bare counters. Pure bookkeeping — no engine events, no RNG — so
@@ -69,7 +118,6 @@ let create ?(seed = 42) engine =
   {
     engine;
     commits = 0;
-    aborts = 0;
     single_node = 0;
     remastered = 0;
     latency = Stats.Reservoir.create (Rng.create seed);
@@ -77,24 +125,7 @@ let create ?(seed = 42) engine =
     total_latency = 0.0;
     series = Timeseries.create ~interval:(Engine.seconds 1.0);
     good_series = Timeseries.create ~interval:(Engine.seconds 1.0);
-    timeouts = 0;
-    retries = 0;
-    drops = 0;
-    sheds = 0;
-    breaker_rejects = 0;
-    breaker_opens = 0;
-    breaker_half_opens = 0;
-    budget_denials = 0;
-    deadline_giveups = 0;
-    deadline_misses = 0;
-    stale_acks = 0;
-    replica_purges = 0;
-    remaster_begins = 0;
-    remasters_inflight = 0;
-    wan_msgs = 0;
-    wan_bytes = 0;
-    lan_msgs = 0;
-    lan_bytes = 0;
+    counts = Array.make n_counters 0;
     beacons = Hashtbl.create 32;
     avail_series = Timeseries.create ~interval:(Engine.seconds 1.0);
   }
@@ -118,39 +149,20 @@ let record_commit ?(late = false) t ~latency ~single_node ~remastered ~phases =
   Timeseries.incr t.series ~time:(Engine.now t.engine);
   if not late then Timeseries.incr t.good_series ~time:(Engine.now t.engine)
 
-let record_abort t = t.aborts <- t.aborts + 1
-let record_timeout t = t.timeouts <- t.timeouts + 1
-let record_retry t = t.retries <- t.retries + 1
-let record_drop t = t.drops <- t.drops + 1
-let record_shed t = t.sheds <- t.sheds + 1
-let record_breaker_reject t = t.breaker_rejects <- t.breaker_rejects + 1
-let record_breaker_open t = t.breaker_opens <- t.breaker_opens + 1
+let incr t c =
+  let i = counter_index c in
+  t.counts.(i) <- t.counts.(i) + 1
 
-let record_breaker_half_open t =
-  t.breaker_half_opens <- t.breaker_half_opens + 1
+let add t c n =
+  let i = counter_index c in
+  t.counts.(i) <- t.counts.(i) + n
 
-let record_budget_denial t = t.budget_denials <- t.budget_denials + 1
-let record_deadline_giveup t = t.deadline_giveups <- t.deadline_giveups + 1
-let record_deadline_miss t = t.deadline_misses <- t.deadline_misses + 1
-let record_stale_ack t = t.stale_acks <- t.stale_acks + 1
-let record_replica_purge t = t.replica_purges <- t.replica_purges + 1
+let get t c = t.counts.(counter_index c)
 
-(* The in-flight remaster gauge pairs a begin with exactly one end on
-   every exit path (completion, stale refusal, cancellation); at
-   quiescence it must read 0, which the liveness auditor asserts. *)
-let record_remaster_begin t =
-  t.remaster_begins <- t.remaster_begins + 1;
-  t.remasters_inflight <- t.remasters_inflight + 1
+type snapshot = int array
 
-let record_remaster_end t = t.remasters_inflight <- t.remasters_inflight - 1
-
-let record_link_msg t ~cross ~bytes =
-  if cross then (
-    t.wan_msgs <- t.wan_msgs + 1;
-    t.wan_bytes <- t.wan_bytes + bytes)
-  else (
-    t.lan_msgs <- t.lan_msgs + 1;
-    t.lan_bytes <- t.lan_bytes + bytes)
+let snapshot t = Array.copy t.counts
+let read s c = s.(counter_index c)
 
 let beacon t name =
   match Hashtbl.find_opt t.beacons name with
@@ -160,24 +172,6 @@ let beacon t name =
 let beacons t =
   Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.beacons []
   |> List.sort compare
-let timeouts t = t.timeouts
-let retries t = t.retries
-let drops t = t.drops
-let sheds t = t.sheds
-let breaker_rejects t = t.breaker_rejects
-let breaker_opens t = t.breaker_opens
-let breaker_half_opens t = t.breaker_half_opens
-let budget_denials t = t.budget_denials
-let deadline_giveups t = t.deadline_giveups
-let deadline_misses t = t.deadline_misses
-let stale_ack_rejections t = t.stale_acks
-let replica_purges t = t.replica_purges
-let remaster_begins t = t.remaster_begins
-let remasters_inflight t = t.remasters_inflight
-let wan_messages t = t.wan_msgs
-let wan_bytes t = t.wan_bytes
-let lan_messages t = t.lan_msgs
-let lan_bytes t = t.lan_bytes
 
 (* Past-dated schedules the engine clamped to [now]: each one is a
    scheduling bug somewhere upstream (a negative delay, an absolute
@@ -191,7 +185,6 @@ let note_availability t ~frac =
 
 let availability_series t = Timeseries.to_array t.avail_series
 let commits t = t.commits
-let aborts t = t.aborts
 let single_node_commits t = t.single_node
 let remastered_commits t = t.remastered
 
@@ -217,29 +210,10 @@ let phase_fraction t phase =
 
 let reset_window t =
   t.commits <- 0;
-  t.aborts <- 0;
   t.single_node <- 0;
   t.remastered <- 0;
   t.total_latency <- 0.0;
-  t.timeouts <- 0;
-  t.retries <- 0;
-  t.drops <- 0;
-  t.sheds <- 0;
-  t.breaker_rejects <- 0;
-  t.breaker_opens <- 0;
-  t.breaker_half_opens <- 0;
-  t.budget_denials <- 0;
-  t.deadline_giveups <- 0;
-  t.deadline_misses <- 0;
-  t.stale_acks <- 0;
-  t.replica_purges <- 0;
-  t.remaster_begins <- 0;
-  t.wan_msgs <- 0;
-  t.wan_bytes <- 0;
-  t.lan_msgs <- 0;
-  t.lan_bytes <- 0;
-  (* The in-flight gauge is live state, not a window counter: a
-     remaster spanning the window boundary still ends exactly once. *)
+  Array.fill t.counts 0 n_counters 0;
   Hashtbl.reset t.beacons;
   Array.fill t.phase_time 0 6 0.0;
   Stats.Reservoir.reset t.latency

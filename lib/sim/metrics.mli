@@ -1,9 +1,15 @@
-(** Experiment metrics: commits, aborts, latency, phase breakdown.
+(** Experiment metrics: commits, counters, latency, phase breakdown.
 
     One recorder per experiment run. Commit events also record whether
     the transaction ran as a single-node transaction, whether it used
     remastering, and how its latency divides into phases — everything
-    Figs. 8, 10, 12 and 14 need. *)
+    Figs. 8, 10, 12 and 14 need.
+
+    Event counters (aborts, timeouts, breaker trips …) live in one
+    registry keyed by the closed type {!counter}. Adding a counter is
+    one constructor (also listed in {!all_counters}) plus one name in
+    {!counter_name}: [reset_window], {!snapshot} and the fuzzer's
+    coverage signature pick it up from there. *)
 
 type phase =
   | Execution  (** read/write processing, incl. remote reads *)
@@ -34,72 +40,76 @@ val record_commit :
     throughput and the latency distribution but is excluded from the
     goodput series. *)
 
-val record_abort : t -> unit
-(** One abort-and-retry occurrence (the eventual commit is still
-    recorded via [record_commit]). *)
+type counter =
+  | Aborts
+      (** One abort-and-retry occurrence (the eventual commit is still
+          recorded via [record_commit]). *)
+  | Timeouts
+      (** An RPC (or partition wait) gave up after exhausting its
+          retries. *)
+  | Retries  (** An RPC attempt timed out and was retried with backoff. *)
+  | Drops
+      (** The fault layer killed a message (drop spec, partition, or dead
+          endpoint). *)
+  | Sheds
+      (** Admission control turned a request away (bounded queue
+          overflow, CoDel delay bound, or a dead node's drained queue). *)
+  | Breaker_rejects
+      (** A per-destination circuit breaker refused an RPC while open. *)
+  | Breaker_opens  (** A circuit breaker tripped open. *)
+  | Breaker_half_opens
+      (** An open breaker's cooldown elapsed and it moved to
+          [Half_open], admitting one probe. A breaker pinned open by a
+          persistent fault shows opens and half-opens climbing in
+          lockstep. *)
+  | Budget_denials
+      (** A retransmission was abandoned because the retry budget was
+          dry. *)
+  | Deadline_giveups
+      (** A transaction past its deadline was shed instead of retried. *)
+  | Deadline_misses
+      (** A transaction committed, but only after its deadline — counted
+          out of goodput. *)
+  | Stale_acks
+      (** A replication/remaster stream message from a stale session —
+          initiated before its destination left and rejoined the
+          membership — was rejected instead of applied
+          (docs/MEMBERSHIP.md). Only counted while
+          [Config.session_tagging] is on. *)
+  | Replica_purges
+      (** A rejoining node held a secondary whose partition was
+          remastered away while it was down; the stale copy was purged
+          at recovery. *)
+  | Remaster_begins
+      (** A leader transfer was admitted (cooldown passed, no transfer
+          in flight for the partition). *)
+  | Wan_messages
+      (** Cross-region (WAN) messages sent. The four link counters are
+          only bumped by [Network.send] when a region topology is
+          installed — region-free runs leave them at 0 (docs/GEO.md). *)
+  | Wan_bytes  (** Bytes carried by cross-region messages. *)
+  | Lan_messages
+      (** Intra-region (LAN) messages sent under a region topology. *)
+  | Lan_bytes  (** Bytes carried by intra-region messages. *)
+(** The window counters: totals since [create] or the last
+    [reset_window]. *)
 
-val record_timeout : t -> unit
-(** An RPC (or partition wait) gave up after exhausting its retries. *)
+val all_counters : counter list
+(** Every counter, in declaration order. *)
 
-val record_retry : t -> unit
-(** An RPC attempt timed out and was retried with backoff. *)
+val counter_name : counter -> string
+(** Stable kebab-case name, e.g. ["breaker-rejects"]; the fuzzer's
+    coverage signature spells counters this way ([m:] entries). *)
 
-val record_drop : t -> unit
-(** The fault layer killed a message (drop spec, partition, or dead
-    endpoint). *)
+val incr : t -> counter -> unit
+val add : t -> counter -> int -> unit
+val get : t -> counter -> int
 
-val record_shed : t -> unit
-(** Admission control turned a request away (bounded queue overflow,
-    CoDel delay bound, or a dead node's drained queue). *)
+type snapshot
+(** A frozen copy of every counter, taken at the end of a run. *)
 
-val record_breaker_reject : t -> unit
-(** A per-destination circuit breaker refused an RPC while open. *)
-
-val record_breaker_open : t -> unit
-(** A circuit breaker tripped open. *)
-
-val record_breaker_half_open : t -> unit
-(** An open breaker's cooldown elapsed and it moved to [Half_open],
-    admitting one probe. A breaker pinned open by a persistent fault
-    shows opens and half-opens climbing in lockstep. *)
-
-val record_budget_denial : t -> unit
-(** A retransmission was abandoned because the retry budget was dry. *)
-
-val record_deadline_giveup : t -> unit
-(** A transaction past its deadline was shed instead of retried. *)
-
-val record_deadline_miss : t -> unit
-(** A transaction committed, but only after its deadline — counted out
-    of goodput. *)
-
-val record_stale_ack : t -> unit
-(** A replication/remaster stream message from a stale session —
-    initiated before its destination left and rejoined the membership —
-    was rejected instead of applied (docs/MEMBERSHIP.md). Only counted
-    while [Config.session_tagging] is on. *)
-
-val record_replica_purge : t -> unit
-(** A rejoining node held a secondary whose partition was remastered
-    away while it was down; the stale copy was purged at recovery. *)
-
-val record_remaster_begin : t -> unit
-(** A leader transfer was admitted (cooldown passed, no transfer in
-    flight for the partition). Increments both the lifetime begin
-    counter and the in-flight gauge. *)
-
-val record_remaster_end : t -> unit
-(** The matching end for a [record_remaster_begin] — completion, stale
-    refusal or cancellation. Every begin must be paired with exactly
-    one end; at quiescence the gauge must read 0, which the liveness
-    auditor asserts (docs/FUZZING.md). *)
-
-val record_link_msg : t -> cross:bool -> bytes:int -> unit
-(** Classify one sent message by link class under a region topology:
-    [cross] marks a cross-region (WAN) hop, otherwise the hop is
-    intra-region (LAN). Only called by [Network.send] when a topology
-    is installed — region-free runs never touch these counters
-    (docs/GEO.md). *)
+val snapshot : t -> snapshot
+val read : snapshot -> counter -> int
 
 val beacon : t -> string -> unit
 (** Light a named code-path beacon — a control-flow waypoint such as an
@@ -111,39 +121,6 @@ val beacon : t -> string -> unit
 val beacons : t -> (string * int) list
 (** All beacons lit since [create] (or the last [reset_window]),
     sorted by name for deterministic output. *)
-
-val timeouts : t -> int
-val retries : t -> int
-val drops : t -> int
-val sheds : t -> int
-val breaker_rejects : t -> int
-val breaker_opens : t -> int
-val budget_denials : t -> int
-val deadline_giveups : t -> int
-val deadline_misses : t -> int
-val breaker_half_opens : t -> int
-val stale_ack_rejections : t -> int
-val replica_purges : t -> int
-val remaster_begins : t -> int
-
-val wan_messages : t -> int
-(** Cross-region messages sent since [create] / [reset_window]. *)
-
-val wan_bytes : t -> int
-(** Bytes carried by cross-region messages. *)
-
-val lan_messages : t -> int
-(** Intra-region messages sent under a region topology. Zero (like all
-    four link counters) when the run is region-free. *)
-
-val lan_bytes : t -> int
-(** Bytes carried by intra-region messages. *)
-
-val remasters_inflight : t -> int
-(** Leader transfers currently in flight (begins minus ends). Unlike
-    the counters this is live state, not a window total: it survives
-    [reset_window] so a transfer spanning the boundary still reads
-    correctly. *)
 
 val schedule_clamps : t -> int
 (** Past-dated schedules the engine clamped to [now] since [create] —
@@ -159,7 +136,6 @@ val availability_series : t -> float array
 (** Availability samples bucketed per simulated second. *)
 
 val commits : t -> int
-val aborts : t -> int
 val single_node_commits : t -> int
 val remastered_commits : t -> int
 
@@ -180,5 +156,5 @@ val phase_fraction : t -> phase -> float
 (** Fraction of total committed-transaction time spent in a phase. *)
 
 val reset_window : t -> unit
-(** Clear counters and latency (not the per-second series) so a run can
-    exclude its warm-up from reported numbers. *)
+(** Clear counters, beacons and latency (not the per-second series) so
+    a run can exclude its warm-up from reported numbers. *)

@@ -60,7 +60,7 @@ let release_msg t m =
 
 let record_drop t =
   t.drops <- t.drops + 1;
-  Option.iter Metrics.record_drop t.metrics
+  Option.iter (fun m -> Metrics.incr m Drops) t.metrics
 
 (* In-flight delivery to a node that died after the message left: lost
    on arrival. The record is recycled before the continuation runs, so
@@ -154,7 +154,12 @@ let send t ~src ~dst ~bytes ?(on_drop = nop) ?ctx k =
       | Some g ->
           let cross = g.region_of.(src) <> g.region_of.(dst) in
           (match t.metrics with
-          | Some m -> Metrics.record_link_msg m ~cross ~bytes
+          | Some m when cross ->
+              Metrics.incr m Wan_messages;
+              Metrics.add m Wan_bytes bytes
+          | Some m ->
+              Metrics.incr m Lan_messages;
+              Metrics.add m Lan_bytes bytes
           | None -> ());
           cross
     in

@@ -117,7 +117,7 @@ let budget_allows t =
   | Some b ->
       Overload.Token_bucket.try_take b ~now:(now t)
       ||
-      (Metrics.record_budget_denial t.metrics;
+      (Metrics.incr t.metrics Budget_denials;
        false)
 
 let breaker_for t dst =
@@ -128,7 +128,7 @@ let breaker_for t dst =
    observe that from outside, so every wrapper funnels through here. *)
 let note_half_opens t b before =
   if Overload.Breaker.half_opens b > before then
-    Metrics.record_breaker_half_open t.metrics
+    Metrics.incr t.metrics Breaker_half_opens
 
 let breaker_allows t dst =
   match breaker_for t dst with
@@ -139,7 +139,7 @@ let breaker_allows t dst =
       note_half_opens t b ho;
       ok
       ||
-      (Metrics.record_breaker_reject t.metrics;
+      (Metrics.incr t.metrics Breaker_rejects;
        false)
 
 let breaker_success t dst =
@@ -155,7 +155,7 @@ let breaker_failure t dst =
       let ho = Overload.Breaker.half_opens b in
       Overload.Breaker.record_failure b ~now:(now t);
       note_half_opens t b ho;
-      if Overload.Breaker.opens b > opens then Metrics.record_breaker_open t.metrics
+      if Overload.Breaker.opens b > opens then Metrics.incr t.metrics Breaker_opens
 
 let breaker_state t dst =
   match breaker_for t dst with
@@ -183,7 +183,7 @@ let try_begin_remaster t ~part ~node =
   then false
   else (
     t.remaster_inflight.(part) <- true;
-    Metrics.record_remaster_begin t.metrics;
+    Metrics.incr t.metrics Remaster_begins;
     (* Burn the cooldown optimistically so concurrent attempts see it,
        but remember the previous stamp: a transfer that fails (target
        died mid-flight, or the lag ship was lost to a partition) must
@@ -238,7 +238,7 @@ let try_begin_remaster t ~part ~node =
                (* The lag ship belongs to the target's previous
                   incarnation: refuse the handover rather than promote
                   a primary missing its log suffix. *)
-               Metrics.record_stale_ack t.metrics;
+               Metrics.incr t.metrics Stale_acks;
                Metrics.beacon t.metrics "remaster-stale-refuse";
                if t.part_last_remaster.(part) = started then
                  t.part_last_remaster.(part) <- prev
@@ -264,7 +264,6 @@ let try_begin_remaster t ~part ~node =
              if t.part_last_remaster.(part) = started then
                t.part_last_remaster.(part) <- prev
            end);
-          Metrics.record_remaster_end t.metrics;
           t.remaster_inflight.(part) <- false;
           t.remaster_target.(part) <- -1
         end);
@@ -391,7 +390,7 @@ let add_replica t ~part ~node ~on_ready =
                    storage that has since restarted empty. Tagged
                    sessions catch this and drop the install; the
                    planner will try again with a fresh stream. *)
-                Metrics.record_stale_ack t.metrics
+                Metrics.incr t.metrics Stale_acks
               else (
                 (if not (Placement.has_replica t.placement ~part ~node) then begin
                    (* Re-check the cap at completion: another install for
@@ -530,7 +529,6 @@ let take_out_of_service t node =
   for part = 0 to Placement.partitions t.placement - 1 do
     if t.remaster_inflight.(part) && t.remaster_target.(part) = node then begin
       Metrics.beacon t.metrics "remaster-cancel";
-      Metrics.record_remaster_end t.metrics;
       t.remaster_inflight.(part) <- false;
       if t.part_last_remaster.(part) = t.remaster_started_at.(part) then
         t.part_last_remaster.(part) <- t.remaster_prev.(part);
@@ -956,7 +954,7 @@ let recover_node t node =
           Metrics.beacon t.metrics "rejoin-purge";
           Placement.remove_secondary t.placement ~part ~node;
           Replication.forget_applied t.replication ~part ~node;
-          Metrics.record_replica_purge t.metrics
+          Metrics.incr t.metrics Replica_purges
         end
       done;
     (* The log-shipping peer for resynchronisation: any live node can
@@ -1042,16 +1040,16 @@ let rpc t ?(on_fail = fun () -> ()) ?ctx ?deadline ?prio ~src ~dst ~bytes ~work 
               on_fail ()
             in
             if attempt >= retries then (
-              Metrics.record_timeout t.metrics;
+              Metrics.incr t.metrics Timeouts;
               give_up "timeout")
             else if past_deadline (now t) then (
               (* Deadline propagation: a transaction already past its
                  deadline sheds instead of retrying. *)
-              Metrics.record_timeout t.metrics;
+              Metrics.incr t.metrics Timeouts;
               give_up "deadline")
             else if not (budget_allows t) then give_up "budget-denied"
             else (
-              Metrics.record_retry t.metrics;
+              Metrics.incr t.metrics Retries;
               Trace.note ~ts:(now t) "retry" actx;
               Trace.finish ~ts:(now t) actx;
               let backoff =
@@ -1136,7 +1134,7 @@ let rec resync_replica t ~part ~node ~tries ~backoff =
               (* The node rejoined while the suffix was in flight: the
                  shipped range was computed against its previous
                  incarnation. Reject and restart with a fresh session. *)
-              Metrics.record_stale_ack t.metrics;
+              Metrics.incr t.metrics Stale_acks;
               Metrics.beacon t.metrics "resync-stale";
               resync_replica t ~part ~node ~tries:(tries - 1) ~backoff
             end
@@ -1197,7 +1195,7 @@ let replicate_commit t ?ctx parts =
              resync loop ships the whole missing suffix later, which is
              cheaper than feeding a black hole one record at a time. *)
           let give_up note =
-            Metrics.record_timeout t.metrics;
+            Metrics.incr t.metrics Timeouts;
             Trace.note ~ts:(now t) note rctx;
             Trace.finish ~ts:(now t) rctx;
             breaker_failure t dst;
@@ -1213,7 +1211,7 @@ let replicate_commit t ?ctx parts =
                 if attempt >= t.cfg.Config.rpc_retries then give_up "timeout"
                 else if not (budget_allows t) then give_up "budget-denied"
                 else (
-                  Metrics.record_retry t.metrics;
+                  Metrics.incr t.metrics Retries;
                   Trace.note ~ts:(now t) "retry" rctx;
                   let backoff =
                     t.cfg.Config.rpc_backoff *. float_of_int (1 lsl attempt)
@@ -1226,7 +1224,7 @@ let replicate_commit t ?ctx parts =
                   (* Delivered to a node that left and rejoined while
                      the record was in flight: the ack would stamp a
                      watermark the node's storage no longer backs. *)
-                  Metrics.record_stale_ack t.metrics;
+                  Metrics.incr t.metrics Stale_acks;
                   Trace.note ~ts:(now t) "stale-session" rctx;
                   Trace.finish ~ts:(now t) rctx
                 end
@@ -1264,7 +1262,7 @@ let note_replica_dropped t ~part ~node =
 (* Ground-truth liveness introspection (docs/FUZZING.md): after a run
    drains to quiescence, every leader transfer must have resolved and
    every partition must have a live primary again. The liveness auditor
-   reads these directly rather than trusting the metrics gauge. *)
+   reads these directly from the cluster's own state. *)
 let remasters_inflight t =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.remaster_inflight
 
@@ -1332,13 +1330,13 @@ let create ?(seed = 1) ?tracer ?history cfg =
         Array.init slots (fun _ ->
             Server.create ~queue_cap:cfg.Config.queue_cap
               ~policy:cfg.Config.shed_policy
-              ~on_shed:(fun () -> Metrics.record_shed metrics)
+              ~on_shed:(fun () -> Metrics.incr metrics Sheds)
               engine ~capacity:cfg.Config.workers_per_node);
       services =
         Array.init slots (fun _ ->
             Server.create ~queue_cap:cfg.Config.queue_cap
               ~policy:cfg.Config.shed_policy
-              ~on_shed:(fun () -> Metrics.record_shed metrics)
+              ~on_shed:(fun () -> Metrics.incr metrics Sheds)
               engine ~capacity:2);
       tracer;
       history;

@@ -288,13 +288,15 @@ let test_crash_rejoin_diverges_untagged () =
     (List.exists
        (function Divergence.Stale_replica _ -> true | _ -> false)
        o.Drive.divergence.Divergence.findings);
-  Alcotest.(check int) "nothing rejected without tagging" 0 o.Drive.stale_rejections
+  Alcotest.(check int) "nothing rejected without tagging" 0
+    (Lion_sim.Metrics.read o.Drive.counters Stale_acks)
 
 let test_crash_rejoin_clean_tagged () =
   let o = rejoin_drive { Config.default with Config.session_tagging = true } in
   Alcotest.(check bool) "some work committed" true (o.Drive.commits > 0);
   Alcotest.(check bool) "audit clean" true (Drive.passed o);
-  Alcotest.(check bool) "stale streams rejected" true (o.Drive.stale_rejections > 0)
+  Alcotest.(check bool) "stale streams rejected" true
+    (Lion_sim.Metrics.read o.Drive.counters Stale_acks > 0)
 
 (* --- nemesis / drive properties --- *)
 
@@ -330,8 +332,7 @@ let prop_recording_off_bit_identical =
             ~gen:(Workloads.ycsb ~cross:0.4 cfg)
             { Runner.quick with Runner.warmup = 0.2; duration = 0.8 }
         in
-        (r.Runner.commits, r.Runner.aborts, r.Runner.timeouts, r.Runner.retries,
-         r.Runner.drops, r.Runner.p95)
+        (r.Runner.commits, r.Runner.aborts, r.Runner.counters, r.Runner.p95)
       in
       run None = run (Some (History.create ())))
 

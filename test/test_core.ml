@@ -107,7 +107,7 @@ let test_planner_colocates_pair () =
      eager plan) or at least a replica of both. *)
   feed_pairs planner cl ~pairs:[ (0, 1) ] ~count:100;
   Planner.tick planner;
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   let p = cl.Cluster.placement in
   let colocated =
     Placement.primary p 0 = Placement.primary p 1
@@ -122,7 +122,7 @@ let test_planner_balances_two_pairs () =
   (* Two independent hot pairs: they must not land on the same node. *)
   feed_pairs planner cl ~pairs:[ (0, 1); (4, 5) ] ~count:100;
   Planner.tick planner;
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   let p = cl.Cluster.placement in
   Alcotest.(check bool) "pair 1 colocated" true
     (Placement.primary p 0 = Placement.primary p 1);
@@ -136,7 +136,7 @@ let test_planner_idempotent_when_converged () =
   let planner = Planner.create no_predict cl in
   feed_pairs planner cl ~pairs:[ (0, 1) ] ~count:100;
   Planner.tick planner;
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   (* Same workload again: the new plan must require no migrations. *)
   feed_pairs planner cl ~pairs:[ (0, 1) ] ~count:100;
   Planner.tick planner;

@@ -48,6 +48,15 @@ let corpus_files () =
   |> List.sort compare
   |> List.map (Filename.concat "corpus")
 
+(* The coverage signature of one corpus case, pinned exactly: its [m:]
+   entries are the non-zero [Metrics.all_counters], so a renamed or
+   dropped counter shows here. *)
+let resync_long_partition_signature =
+  [
+    "b:remaster-complete"; "b:resync-apply"; "m:aborts"; "m:drops";
+    "m:remasters"; "m:retries"; "m:timeouts";
+  ]
+
 let test_corpus_replays () =
   let files = corpus_files () in
   Alcotest.(check bool) "corpus is not empty" true (files <> []);
@@ -60,7 +69,11 @@ let test_corpus_replays () =
           Alcotest.(check verdict)
             (Printf.sprintf "%s replays (signals: %s)" path
                (String.concat " " r.Fuzz.signature))
-            expect r.Fuzz.verdict)
+            expect r.Fuzz.verdict;
+          if Filename.basename path = "resync-long-partition.json" then
+            Alcotest.(check (list string))
+              (path ^ " signature") resync_long_partition_signature
+              r.Fuzz.signature)
     files
 
 (* The two sides of the re-planted bug, pinned explicitly: the same

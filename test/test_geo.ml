@@ -42,9 +42,9 @@ let test_default_topology_free () =
   Alcotest.(check bool) "no topology" true (Network.topology cl.Cluster.network = None);
   Alcotest.(check int) "one region" 1 (Network.regions cl.Cluster.network);
   Network.send cl.Cluster.network ~src:0 ~dst:3 ~bytes:1000 (fun () -> ());
-  Engine.run_all cl.Cluster.engine ();
-  Alcotest.(check int) "no wan msgs" 0 (Metrics.wan_messages cl.Cluster.metrics);
-  Alcotest.(check int) "no lan msgs" 0 (Metrics.lan_messages cl.Cluster.metrics)
+  Test_util.drain cl.Cluster.engine;
+  Alcotest.(check int) "no wan msgs" 0 (Metrics.get cl.Cluster.metrics Wan_messages);
+  Alcotest.(check int) "no lan msgs" 0 (Metrics.get cl.Cluster.metrics Lan_messages)
 
 let test_geo_link_accounting () =
   let cl = Cluster.create ~seed:5 geo_cfg in
@@ -58,11 +58,11 @@ let test_geo_link_accounting () =
     > 100.0 *. Network.link_delay net ~src:0 ~dst:1 ~bytes:128);
   Network.send net ~src:0 ~dst:1 ~bytes:100 (fun () -> ());
   Network.send net ~src:0 ~dst:2 ~bytes:200 (fun () -> ());
-  Engine.run_all cl.Cluster.engine ();
-  Alcotest.(check int) "1 lan msg" 1 (Metrics.lan_messages cl.Cluster.metrics);
-  Alcotest.(check int) "1 wan msg" 1 (Metrics.wan_messages cl.Cluster.metrics);
-  Alcotest.(check int) "lan bytes" 100 (Metrics.lan_bytes cl.Cluster.metrics);
-  Alcotest.(check int) "wan bytes" 200 (Metrics.wan_bytes cl.Cluster.metrics)
+  Test_util.drain cl.Cluster.engine;
+  Alcotest.(check int) "1 lan msg" 1 (Metrics.get cl.Cluster.metrics Lan_messages);
+  Alcotest.(check int) "1 wan msg" 1 (Metrics.get cl.Cluster.metrics Wan_messages);
+  Alcotest.(check int) "lan bytes" 100 (Metrics.get cl.Cluster.metrics Lan_bytes);
+  Alcotest.(check int) "wan bytes" 200 (Metrics.get cl.Cluster.metrics Wan_bytes)
 
 (* --- min_regions placement --- *)
 
@@ -176,7 +176,7 @@ let test_epoch_geo_commits_over_wan () =
   match !captured with
   | Some cl ->
       Alcotest.(check bool) "wan traffic" true
-        (Metrics.wan_messages cl.Cluster.metrics > 0)
+        (Metrics.get cl.Cluster.metrics Wan_messages > 0)
   | None -> Alcotest.fail "setup not called"
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)

@@ -103,16 +103,8 @@ let test_result_rows_width () =
       phase_fractions = [ (Lion_sim.Metrics.Execution, 1.0) ];
       remasters = 0;
       replica_adds = 0;
-      timeouts = 0;
-      retries = 0;
-      drops = 0;
-      sheds = 0;
-      breaker_rejects = 0;
-      breaker_opens = 0;
-      budget_denials = 0;
-      deadline_giveups = 0;
-      deadline_misses = 0;
-      stale_ack_rejections = 0;
+      counters =
+        Lion_sim.Metrics.(snapshot (create (Lion_sim.Engine.create ())));
       availability = [||];
       unavail_seconds = 0.0;
       time_to_recover = infinity;

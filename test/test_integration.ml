@@ -141,8 +141,8 @@ let test_crash_plan_degrades_and_recovers () =
       ~gen:(Workloads.ycsb ~cross:0.5 cfg) rc
   in
   Alcotest.(check bool) "commits despite crash" true (r.Runner.commits > 0);
-  Alcotest.(check bool) "losses observed" true (r.Runner.drops > 0);
-  Alcotest.(check bool) "retries observed" true (r.Runner.retries > 0);
+  Alcotest.(check bool) "losses observed" true (Metrics.read r.Runner.counters Drops > 0);
+  Alcotest.(check bool) "retries observed" true (Metrics.read r.Runner.counters Retries > 0);
   Alcotest.(check bool) "availability dipped" true
     (Array.exists (fun a -> a < 1.0) r.Runner.availability);
   Alcotest.(check bool) "unavailability integrated" true (r.Runner.unavail_seconds > 0.0);
@@ -165,9 +165,9 @@ let test_empty_fault_plan_is_free () =
       ~gen:(Workloads.ycsb ~cross:0.5 cfg) tiny
   in
   let base = go Lion_sim.Fault.none in
-  Alcotest.(check int) "no timeouts" 0 base.Runner.timeouts;
-  Alcotest.(check int) "no retries" 0 base.Runner.retries;
-  Alcotest.(check int) "no drops" 0 base.Runner.drops;
+  Alcotest.(check int) "no timeouts" 0 (Metrics.read base.Runner.counters Timeouts);
+  Alcotest.(check int) "no retries" 0 (Metrics.read base.Runner.counters Retries);
+  Alcotest.(check int) "no drops" 0 (Metrics.read base.Runner.counters Drops);
   Alcotest.(check bool) "fully available" true
     (Array.for_all (fun a -> a = 1.0) base.Runner.availability);
   Alcotest.(check (float 0.0)) "never degraded" 0.0 base.Runner.time_to_recover

@@ -9,6 +9,7 @@ module Config = Lion_store.Config
 module Runner = Lion_harness.Runner
 module Overload = Lion_harness.Overload
 module Workloads = Lion_harness.Workloads
+module Metrics = Lion_sim.Metrics
 
 let twopc cl = Lion_protocols.Twopc.create cl
 
@@ -79,11 +80,11 @@ let test_metastable_shape () =
       (* The mechanism: only the protected side sheds its zombie
          backlog; the unprotected side keeps committing stale work. *)
       Alcotest.(check int) "unprotected never gives up" 0
-        unprot.Overload.result.Runner.deadline_giveups;
+        (Metrics.read unprot.Overload.result.Runner.counters Deadline_giveups);
       Alcotest.(check bool) "protected sheds the backlog" true
-        (prot.Overload.result.Runner.deadline_giveups > 0);
+        (Metrics.read prot.Overload.result.Runner.counters Deadline_giveups > 0);
       Alcotest.(check bool) "unprotected commits go stale instead" true
-        (unprot.Overload.result.Runner.deadline_misses > 0)
+        (Metrics.read unprot.Overload.result.Runner.counters Deadline_misses > 0)
   | _ -> Alcotest.fail "metastable_pair returned wrong arity"
 
 let test_budget_wins_past_saturation () =

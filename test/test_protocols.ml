@@ -191,7 +191,7 @@ let test_batch_aborted_retry_next_epoch () =
   proto.Proto.submit (txn [ Txn.Read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check int) "committed on retry" 1 !done_count;
-  Alcotest.(check int) "abort recorded" 1 (Metrics.aborts cl.Cluster.metrics)
+  Alcotest.(check int) "abort recorded" 1 (Metrics.get cl.Cluster.metrics Aborts)
 
 let test_batch_duration_scales_with_busy () =
   let cl = mk_cluster () in
@@ -236,7 +236,7 @@ let test_batch_gives_up_after_max_retries () =
   proto.Proto.submit (txn [ Txn.Read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
   Engine.run_until cl.Cluster.engine (Engine.seconds 2.0);
   Alcotest.(check int) "forced commit keeps the loop live" 1 !done_count;
-  Alcotest.(check int) "three aborts recorded" 3 (Metrics.aborts cl.Cluster.metrics)
+  Alcotest.(check int) "three aborts recorded" 3 (Metrics.get cl.Cluster.metrics Aborts)
 
 let test_2pc_records_prepare_phase () =
   let cl = mk_cluster () in
@@ -339,7 +339,7 @@ let test_calvin_no_aborts () =
   let cl =
     drive_protocol ~make:Lion_protocols.Calvin.create ~gen:(cross_pair_gen ()) ~seconds:1.0 ()
   in
-  Alcotest.(check int) "deterministic: no aborts" 0 (Metrics.aborts cl.Cluster.metrics);
+  Alcotest.(check int) "deterministic: no aborts" 0 (Metrics.get cl.Cluster.metrics Aborts);
   Alcotest.(check bool) "commits" true (Metrics.commits cl.Cluster.metrics > 0)
 
 let test_hermes_colocates_recurring_pair () =
@@ -359,13 +359,13 @@ let test_aria_aborts_on_contention () =
      win its reservation. *)
   let gen () = txn [ Txn.Write (key 0 0); Txn.Write (key 1 0) ] in
   let cl = drive_protocol ~make:Lion_protocols.Aria.create ~gen ~seconds:1.0 () in
-  Alcotest.(check bool) "aborts under contention" true (Metrics.aborts cl.Cluster.metrics > 0)
+  Alcotest.(check bool) "aborts under contention" true (Metrics.get cl.Cluster.metrics Aborts > 0)
 
 let test_lotus_single_home_never_aborts () =
   (* Same-partition contention serializes on the partition executor. *)
   let gen () = txn [ Txn.Write (key 0 0) ] in
   let cl = drive_protocol ~make:Lion_protocols.Lotus.create ~gen ~seconds:1.0 () in
-  Alcotest.(check int) "no aborts" 0 (Metrics.aborts cl.Cluster.metrics);
+  Alcotest.(check int) "no aborts" 0 (Metrics.get cl.Cluster.metrics Aborts);
   Alcotest.(check bool) "commits" true (Metrics.commits cl.Cluster.metrics > 0)
 
 let test_unified_commits_in_one_round () =

@@ -542,9 +542,9 @@ let test_metrics_counts () =
   let m = Metrics.create e in
   Metrics.record_commit m ~latency:100.0 ~single_node:true ~remastered:false ~phases:[];
   Metrics.record_commit m ~latency:200.0 ~single_node:false ~remastered:true ~phases:[];
-  Metrics.record_abort m;
+  Metrics.incr m Aborts;
   Alcotest.(check int) "commits" 2 (Metrics.commits m);
-  Alcotest.(check int) "aborts" 1 (Metrics.aborts m);
+  Alcotest.(check int) "aborts" 1 (Metrics.get m Aborts);
   Alcotest.(check int) "single" 1 (Metrics.single_node_commits m);
   Alcotest.(check int) "remastered" 1 (Metrics.remastered_commits m)
 
@@ -584,15 +584,24 @@ let test_metrics_reset_window () =
   let e = Engine.create () in
   let m = Metrics.create e in
   Metrics.record_commit m ~latency:50.0 ~single_node:true ~remastered:false ~phases:[];
-  Metrics.record_timeout m;
-  Metrics.record_retry m;
-  Metrics.record_drop m;
+  List.iteri (fun i c -> Metrics.add m c (i + 1)) Metrics.all_counters;
+  List.iteri
+    (fun i c ->
+      Alcotest.(check int) (Metrics.counter_name c ^ " counted") (i + 1) (Metrics.get m c))
+    Metrics.all_counters;
+  let before = Metrics.snapshot m in
   Metrics.reset_window m;
   Alcotest.(check int) "commits cleared" 0 (Metrics.commits m);
   Alcotest.(check (float 0.0)) "latency cleared" 0.0 (Metrics.latency_percentile m 50.0);
-  Alcotest.(check int) "timeouts cleared" 0 (Metrics.timeouts m);
-  Alcotest.(check int) "retries cleared" 0 (Metrics.retries m);
-  Alcotest.(check int) "drops cleared" 0 (Metrics.drops m)
+  List.iteri
+    (fun i c ->
+      Alcotest.(check int) (Metrics.counter_name c ^ " cleared") 0 (Metrics.get m c);
+      Alcotest.(check int) (Metrics.counter_name c ^ " snapshot frozen") (i + 1)
+        (Metrics.read before c))
+    Metrics.all_counters;
+  let names = List.map Metrics.counter_name Metrics.all_counters in
+  Alcotest.(check int) "distinct names" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 (* An empty latency window — a fresh metrics object, or right after
    [reset_window] before any commit lands — must read as 0 from the
@@ -615,15 +624,15 @@ let test_metrics_empty_window_no_nan () =
 let test_metrics_fault_counters () =
   let e = Engine.create () in
   let m = Metrics.create e in
-  Metrics.record_timeout m;
-  Metrics.record_retry m;
-  Metrics.record_retry m;
-  Metrics.record_drop m;
-  Metrics.record_drop m;
-  Metrics.record_drop m;
-  Alcotest.(check int) "timeouts" 1 (Metrics.timeouts m);
-  Alcotest.(check int) "retries" 2 (Metrics.retries m);
-  Alcotest.(check int) "drops" 3 (Metrics.drops m)
+  Metrics.incr m Timeouts;
+  Metrics.incr m Retries;
+  Metrics.incr m Retries;
+  Metrics.incr m Drops;
+  Metrics.incr m Drops;
+  Metrics.incr m Drops;
+  Alcotest.(check int) "timeouts" 1 (Metrics.get m Timeouts);
+  Alcotest.(check int) "retries" 2 (Metrics.get m Retries);
+  Alcotest.(check int) "drops" 3 (Metrics.get m Drops)
 
 let test_metrics_availability_series () =
   let e = Engine.create () in

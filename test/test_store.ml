@@ -263,7 +263,7 @@ let test_remaster_blocks_partition () =
   let target = Placement.secondaries cl.Cluster.placement part |> List.hd in
   Alcotest.(check bool) "starts" true (Cluster.try_begin_remaster cl ~part ~node:target);
   Alcotest.(check bool) "partition blocked" true (Cluster.partition_wait cl part > 0.0);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check int) "primary moved" target (Placement.primary cl.Cluster.placement part);
   Alcotest.(check int) "counted" 1 cl.Cluster.remaster_count
 
@@ -280,7 +280,7 @@ let test_remaster_cooldown () =
   let part = 0 in
   let target = Placement.secondaries cl.Cluster.placement part |> List.hd in
   ignore (Cluster.try_begin_remaster cl ~part ~node:target);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   (* Immediately flipping back must be refused during the cooldown. *)
   Alcotest.(check bool) "cooldown refuses flip-back" false
     (Cluster.try_begin_remaster cl ~part ~node:0);
@@ -301,7 +301,7 @@ let test_add_replica_background () =
   Cluster.add_replica cl ~part:0 ~node:3 ~on_ready:(fun () -> ready := true);
   Alcotest.(check bool) "not yet" false
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "installed" true
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
   Alcotest.(check bool) "callback fired" true !ready
@@ -320,7 +320,7 @@ let test_add_replica_evicts_at_max () =
   (* Partition 0 already has 2 replicas (nodes 0, 1); adding on node 2
      must evict the node-1 secondary. *)
   Cluster.add_replica cl ~part:0 ~node:2 ~on_ready:(fun () -> ());
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check int) "still at max" 2 (Placement.replica_count cl.Cluster.placement 0);
   Alcotest.(check bool) "new replica present" true
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:2)
@@ -341,7 +341,7 @@ let test_rpc_consumes_remote_service () =
   let finished = ref (-1.0) in
   Cluster.rpc cl ~src:0 ~dst:1 ~bytes:128 ~work:10.0 (fun () ->
       finished := Engine.now cl.Cluster.engine);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   (* 2 one-way trips + 10 µs service, with the default 60 µs latency. *)
   Alcotest.(check bool) "took at least 2 RT + work" true (!finished >= 130.0);
   Alcotest.(check bool) "remote service busy time" true
@@ -523,15 +523,15 @@ let test_rpc_dead_node_times_out () =
   Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
     ~on_fail:(fun () -> failed_at := Engine.now cl.Cluster.engine)
     (fun () -> delivered := true);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "success continuation never ran" false !delivered;
   (* Attempts start at 0, 5200, 10600 and 16400 µs: each times out
      after the 5000 µs rpc_timeout, with exponential backoffs of
      200/400/800 µs between attempts. *)
   Alcotest.(check (float 1e-6)) "gave up after the retry budget" 21_400.0 !failed_at;
-  Alcotest.(check int) "three retries" 3 (Lion_sim.Metrics.retries cl.Cluster.metrics);
-  Alcotest.(check int) "one timeout" 1 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
-  Alcotest.(check int) "every attempt dropped" 4 (Lion_sim.Metrics.drops cl.Cluster.metrics)
+  Alcotest.(check int) "three retries" 3 (Lion_sim.Metrics.get cl.Cluster.metrics Retries);
+  Alcotest.(check int) "one timeout" 1 (Lion_sim.Metrics.get cl.Cluster.metrics Timeouts);
+  Alcotest.(check int) "every attempt dropped" 4 (Lion_sim.Metrics.get cl.Cluster.metrics Drops)
 
 let test_rpc_retry_succeeds_after_recovery () =
   let cl = mk_cluster () in
@@ -541,13 +541,13 @@ let test_rpc_retry_succeeds_after_recovery () =
     ~on_fail:(fun () -> failed := true)
     (fun () -> delivered_at := Engine.now cl.Cluster.engine);
   Engine.schedule cl.Cluster.engine ~delay:3_000.0 (fun () -> Cluster.recover_node cl 1);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "no failure surfaced" false !failed;
   (* First attempt lost at t=0, timer at 5000, backoff 200; the retry
      at 5200 finds the node recovered: two 60 µs one-way trips later. *)
   Alcotest.(check (float 1e-6)) "retry delivered" 5_320.0 !delivered_at;
-  Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.retries cl.Cluster.metrics);
-  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.timeouts cl.Cluster.metrics)
+  Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.get cl.Cluster.metrics Retries);
+  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.get cl.Cluster.metrics Timeouts)
 
 let test_submit_local_dead_node_fails () =
   let cl = mk_cluster () in
@@ -556,7 +556,7 @@ let test_submit_local_dead_node_fails () =
   Cluster.submit_local cl ~node:1 ~work:5.0
     ~on_fail:(fun () -> failed := true)
     (fun () -> ran := true);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "work refused" false !ran;
   Alcotest.(check bool) "on_fail called" true !failed
 
@@ -584,17 +584,17 @@ let test_crash_fails_queued_worker_requests () =
     ~on_fail:(fun () -> failed2 := true)
     (fun _lease -> ());
   Alcotest.(check bool) "post-crash request refused on arrival" true !failed2;
-  Engine.run_all cl.Cluster.engine ()
+  Test_util.drain cl.Cluster.engine
 
 let test_failed_remaster_keeps_cooldown () =
   let cl = mk_cluster () in
   Cluster.add_replica cl ~part:0 ~node:2 ~on_ready:(fun () -> ());
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "starts" true (Cluster.try_begin_remaster cl ~part:0 ~node:1);
   (* The target dies mid-transfer: the remaster must fail, leave the
      primary in place and roll back the cooldown stamp. *)
   Cluster.fail_node cl 1;
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check int) "primary unchanged" 0 (Placement.primary cl.Cluster.placement 0);
   Alcotest.(check int) "not counted" 0 cl.Cluster.remaster_count;
   Alcotest.(check bool) "cooldown not burned" true
@@ -626,7 +626,7 @@ let test_remaster_during_partition () =
      not burn the partition's remaster cooldown. *)
   Alcotest.(check bool) "cooldown not burned" true
     (Cluster.try_begin_remaster cl ~part:0 ~node:1);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check int) "retry succeeds after heal" 1 (Placement.primary cl.Cluster.placement 0)
 
 let test_election_purges_dead_secondary () =
@@ -697,7 +697,7 @@ let prop_fault_sequence_placement_consistent =
           if fail then Cluster.fail_node cl node else Cluster.recover_node cl node;
           Engine.run_until cl.Cluster.engine (Engine.now cl.Cluster.engine +. advance))
         ops;
-      Engine.run_all cl.Cluster.engine ();
+      Test_util.drain cl.Cluster.engine;
       let ok = ref true in
       for part = 0 to Cluster.partition_count cl - 1 do
         (* A dead primary is only legal for a partition explicitly
@@ -729,7 +729,7 @@ let test_join_node_populates () =
   Alcotest.(check bool) "out of range refused" false (Cluster.join_node cl 6);
   Alcotest.(check int) "five members" 5 (Cluster.member_count cl);
   Alcotest.(check bool) "version bumped" true (cl.Cluster.membership_version > v);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   (* The balance pass populates the newcomer one bounded step at a time. *)
   Alcotest.(check bool) "replicas moved onto joiner" true
     (Placement.replicas_on cl.Cluster.placement 4 > 0);
@@ -740,7 +740,7 @@ let test_decommission_drains_fully () =
   Alcotest.(check bool) "accepted" true (Cluster.decommission_node cl 3);
   Alcotest.(check bool) "double decommission refused" false (Cluster.decommission_node cl 3);
   Alcotest.(check bool) "still a member while draining" true cl.Cluster.member.(3);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "left the membership" false cl.Cluster.member.(3);
   Alcotest.(check int) "completion counted" 1 cl.Cluster.decommission_count;
   Alcotest.(check int) "node emptied" 0 (Placement.replicas_on cl.Cluster.placement 3);
@@ -757,9 +757,9 @@ let test_decommission_floor_refused () =
      least 2 other live eligible members, so the fourth-to-last and
      third-to-last leave but the second-to-last is refused. *)
   Alcotest.(check bool) "4 -> 3 accepted" true (Cluster.decommission_node cl 3);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "3 -> 2 accepted" true (Cluster.decommission_node cl 2);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check int) "two members left" 2 (Cluster.member_count cl);
   Alcotest.(check bool) "2 -> 1 refused" false (Cluster.decommission_node cl 1);
   Alcotest.(check bool) "non-member refused" false (Cluster.decommission_node cl 3)
@@ -779,11 +779,11 @@ let test_stale_install_rejected_when_tagged () =
      session now predates node 3's incarnation. *)
   Cluster.fail_node cl 3;
   Cluster.recover_node cl 3;
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "install dropped" false
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
   Alcotest.(check int) "rejection counted" 1
-    (Lion_sim.Metrics.stale_ack_rejections cl.Cluster.metrics)
+    (Lion_sim.Metrics.get cl.Cluster.metrics Stale_acks)
 
 let test_stale_install_accepted_when_untagged () =
   let cl = Cluster.create ~seed:5 Config.default in
@@ -794,7 +794,7 @@ let test_stale_install_accepted_when_untagged () =
   Cluster.add_replica cl ~part:0 ~node:3 ~on_ready:(fun () -> ());
   Cluster.fail_node cl 3;
   Cluster.recover_node cl 3;
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "stale install accepted" true
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
   (* The corruption signature the divergence audit looks for. *)
@@ -803,7 +803,7 @@ let test_stale_install_accepted_when_untagged () =
   Alcotest.(check int) "storage durably empty" 0
     (Lion_store.Replication.durable repl ~part:0 ~node:3);
   Alcotest.(check int) "nothing rejected" 0
-    (Lion_sim.Metrics.stale_ack_rejections cl.Cluster.metrics)
+    (Lion_sim.Metrics.get cl.Cluster.metrics Stale_acks)
 
 (* Satellite: a node that was remastered away from (through Placement
    directly, planner-style) while down must not resurrect its stale
@@ -819,10 +819,10 @@ let test_recover_purges_stale_secondary () =
   Alcotest.(check bool) "stale copy purged" false
     (Placement.has_secondary cl.Cluster.placement ~part:1 ~node:1);
   Alcotest.(check int) "purge counted" 1
-    (Lion_sim.Metrics.replica_purges cl.Cluster.metrics);
-  Engine.run_all cl.Cluster.engine ();
+    (Lion_sim.Metrics.get cl.Cluster.metrics Replica_purges);
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check bool) "no double purge" true
-    (Lion_sim.Metrics.replica_purges cl.Cluster.metrics = 1)
+    (Lion_sim.Metrics.get cl.Cluster.metrics Replica_purges = 1)
 
 (* Satellite: the remaster target dying mid-transfer must clear the
    inflight flag and roll back the cooldown immediately, leaving the
@@ -838,7 +838,7 @@ let test_remaster_cancelled_when_target_dies () =
      secondary is admitted immediately, not [remaster_cooldown] later. *)
   Alcotest.(check bool) "retry admitted at once" true
     (Cluster.try_begin_remaster cl ~part:0 ~node:2);
-  Engine.run_all cl.Cluster.engine ();
+  Test_util.drain cl.Cluster.engine;
   Alcotest.(check int) "retry promoted" 2 (Placement.primary cl.Cluster.placement 0);
   Alcotest.(check int) "only the retry counted" 1 cl.Cluster.remaster_count
 
@@ -854,9 +854,7 @@ let test_retirement_drops_inflight_moves () =
   Alcotest.(check bool) "join accepted" true (Cluster.join_node cl 4);
   Engine.run_until eng (Engine.now eng +. 6_000.0);
   Alcotest.(check bool) "decommission accepted" true (Cluster.decommission_node cl 4);
-  Engine.run_all eng ~max_events:200_000 ();
-  Alcotest.(check bool) "drain quiesced within its budget" false
-    (Engine.last_run_exhausted eng);
+  Test_util.drain eng;
   Alcotest.(check bool) "left the membership" false cl.Cluster.member.(4);
   Alcotest.(check bool) "quiesced within a simulated second" true
     (Engine.now eng < 1e6)
