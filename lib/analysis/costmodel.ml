@@ -67,13 +67,23 @@ let find_dst_node ?eligible t placement ~parts =
    transaction that would disrupt a hot clump runs 2PC instead. *)
 let route_freq_scale = 1000.0
 
+(* Runs once per live node for every routed transaction, so it is a
+   loop with an unboxed local accumulator and no closure. Terms are
+   summed in [parts] order. *)
 let txn_route_cost t placement ~parts ~node =
-  List.fold_left
-    (fun acc part ->
-      if Placement.has_primary placement ~part ~node then acc
-      else if Placement.has_secondary placement ~part ~node then (
-        let f = t.freq part *. route_freq_scale in
-        let s = wan_scale t placement ~part ~node in
-        acc +. (s *. (t.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0)))))
-      else acc +. t.w_m)
-    0.0 parts
+  let acc = ref 0.0 in
+  let rest = ref parts in
+  let more = ref true in
+  while !more do
+    match !rest with
+    | [] -> more := false
+    | part :: tl ->
+        rest := tl;
+        if Placement.has_primary placement ~part ~node then ()
+        else if Placement.has_secondary placement ~part ~node then (
+          let f = t.freq part *. route_freq_scale in
+          let s = wan_scale t placement ~part ~node in
+          acc := !acc +. (s *. (t.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0)))))
+        else acc := !acc +. t.w_m
+  done;
+  !acc

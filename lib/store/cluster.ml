@@ -27,6 +27,7 @@ type t = {
   rng : Rng.t;
   part_available : float array;
   part_access : float array;
+  mutable access_peak : float;
   node_alive : bool array;
   part_last_remaster : float array;
   mutable remaster_count : int;
@@ -85,16 +86,24 @@ let session_for t ~part ~dst : Replication.session =
 
 let session_stale t ~dst (s : Replication.session) =
   t.node_epoch.(dst) <> s.Replication.epoch
-let touch_partition t p = t.part_access.(p) <- t.part_access.(p) +. 1.0
+
+(* [access_peak] is the maximum of [part_access] (and of 0), kept in
+   step by the only two writers: a touch can only raise it, and scaling
+   every counter by the same non-negative factor scales their maximum
+   by it exactly, since IEEE rounding is monotone. *)
+let touch_partition t p =
+  let c = t.part_access.(p) +. 1.0 in
+  t.part_access.(p) <- c;
+  if c > t.access_peak then t.access_peak <- c
 
 let decay_access t factor =
   for p = 0 to Array.length t.part_access - 1 do
     t.part_access.(p) <- t.part_access.(p) *. factor
-  done
+  done;
+  t.access_peak <- t.access_peak *. factor
 
 let normalized_freq t p =
-  let hottest = Array.fold_left Stdlib.max 0.0 t.part_access in
-  if hottest <= 0.0 then 0.0 else t.part_access.(p) /. hottest
+  if t.access_peak <= 0.0 then 0.0 else t.part_access.(p) /. t.access_peak
 
 let partition_wait t p = Stdlib.max 0.0 (t.part_available.(p) -. now t)
 
@@ -1343,6 +1352,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       rng = Rng.create seed;
       part_available = Array.make parts 0.0;
       part_access = Array.make parts 0.0;
+      access_peak = 0.0;
       node_alive = Array.init slots (fun n -> n < cfg.Config.nodes);
       part_last_remaster = Array.make parts neg_infinity;
       remaster_count = 0;

@@ -35,7 +35,13 @@ type t = {
   part_available : float array;
       (** per-partition time before which operations block (remaster
           or migration in progress) *)
-  part_access : float array;  (** decayed per-partition access counter *)
+  part_access : float array;
+      (** decayed per-partition access counter; written only through
+          [touch_partition] and [decay_access], which keep
+          [access_peak] equal to its maximum *)
+  mutable access_peak : float;
+      (** the largest [part_access] entry (0 before any access), read by
+          [normalized_freq] in place of a scan *)
   node_alive : bool array;  (** liveness; see [fail_node] *)
   part_last_remaster : float array;
       (** start time of each partition's most recent remaster, enforcing
@@ -126,7 +132,8 @@ val decay_access : t -> float -> unit
 
 val normalized_freq : t -> int -> float
 (** f(v, ·) of Eq. 4: this partition's access counter divided by the
-    hottest partition's (0 when nothing has been accessed). *)
+    hottest partition's (0 when nothing has been accessed). O(1): the
+    hottest count is cached, not searched for. *)
 
 val partition_wait : t -> int -> float
 (** How long an operation arriving now must wait for the partition to

@@ -64,6 +64,89 @@ let test_router_skips_dead_nodes () =
   Cluster.fail_node cl 0;
   Alcotest.(check int) "falls over to live node" 1 (Router.route router t)
 
+(* The router as first written: two passes over the nodes, each
+   pricing every live node, collecting the tied nodes in a list and
+   taking the [hash mod n]-th. [Router.route] must pick the same node. *)
+let reference_route cl cost (t : Txn.t) =
+  let placement = cl.Cluster.placement in
+  let nodes = Placement.nodes placement in
+  let best_cost = ref infinity in
+  for node = 0 to nodes - 1 do
+    if Cluster.alive cl node then (
+      let c = Costmodel.txn_route_cost cost placement ~parts:t.Txn.parts ~node in
+      if c < !best_cost then best_cost := c)
+  done;
+  let tied = ref [] in
+  for node = nodes - 1 downto 0 do
+    if Cluster.alive cl node then (
+      let c = Costmodel.txn_route_cost cost placement ~parts:t.Txn.parts ~node in
+      if c <= !best_cost +. 1e-9 then tied := node :: !tied)
+  done;
+  match !tied with
+  | [] -> invalid_arg "reference_route: no live node"
+  | [ n ] -> n
+  | candidates ->
+      let h = Hashtbl.hash t.Txn.parts in
+      List.nth candidates (h mod List.length candidates)
+
+(* Random placements on 3–6 nodes (remasters and secondary adds), a
+   random set of crashed nodes leaving at least one alive, a zero
+   frequency (every cost a tie) or one drawn from four levels (ties
+   still common), with or without a WAN multiplier. *)
+let prop_router_matches_reference =
+  QCheck.Test.make ~name:"route matches the two-pass reference" ~count:300
+    QCheck.(
+      pair
+        (quad small_nat
+           (list (triple bool small_nat small_nat))
+           small_nat (triple bool bool small_nat))
+        (list (list_of_size Gen.(int_range 1 5) small_nat)))
+    (fun ((nodes, moves, dead, (hot, wan, fseed)), txns) ->
+      (* Reduced here, not by the generator: shrinking a ranged int may
+         leave its range. *)
+      let nodes = 3 + (nodes mod 4) in
+      let cfg = { small_cfg with Config.nodes; partitions_per_node = 3 } in
+      let cl = Cluster.create ~seed:1 cfg in
+      let placement = cl.Cluster.placement in
+      let parts = Placement.partitions placement in
+      List.iter
+        (fun (promote, part, node) ->
+          let part = part mod parts and node = node mod nodes in
+          if promote then (
+            if Placement.has_replica placement ~part ~node then
+              Placement.remaster placement ~part ~node)
+          else
+            try Placement.add_secondary placement ~part ~node
+            with Invalid_argument _ -> ())
+        moves;
+      for node = 0 to nodes - 1 do
+        if dead land (1 lsl node) <> 0 && List.length (Cluster.alive_nodes cl) > 1 then
+          Cluster.fail_node cl node
+      done;
+      let levels = [| 0.0; 0.25; 0.5; 1.0 |] in
+      let freq =
+        if hot then fun p -> levels.(Hashtbl.hash (fseed, p) mod 4) else fun _ -> 0.0
+      in
+      let wan =
+        if wan then Some { Costmodel.region_of = (fun n -> n mod 2); factor = 4.0 }
+        else None
+      in
+      let cost = Costmodel.make ?wan ~freq () in
+      let router = Router.create cl cost in
+      List.for_all
+        (fun ps ->
+          let t = txn (List.map (fun p -> Txn.Write (key (p mod parts) 0)) ps) in
+          Router.route router t = reference_route cl cost t)
+        txns)
+
+let test_router_no_live_node () =
+  let cl = Cluster.create ~seed:1 small_cfg in
+  let router = Router.create cl (Costmodel.make ~freq:(fun _ -> 0.0) ()) in
+  Cluster.fail_node cl 0;
+  Cluster.fail_node cl 1;
+  Alcotest.check_raises "no live node" (Invalid_argument "Router.route: no live node")
+    (fun () -> ignore (Router.route router (txn [ Txn.Read (key 0 0) ])))
+
 let test_read_at_secondary_serves_locally () =
   let cl = Cluster.create ~seed:1 small_cfg in
   (* Read-only cross transaction; node 0 holds a secondary of 1. *)
@@ -278,11 +361,14 @@ let () =
           Alcotest.test_case "prefers coverage" `Quick test_router_prefers_secondary_over_absent;
           Alcotest.test_case "stable routing" `Quick test_router_stable_for_same_parts;
           Alcotest.test_case "skips dead nodes" `Quick test_router_skips_dead_nodes;
+          Alcotest.test_case "no live node" `Quick test_router_no_live_node;
           Alcotest.test_case "read-at-secondary local" `Quick
             test_read_at_secondary_serves_locally;
           Alcotest.test_case "writes still promote" `Quick
             test_read_at_secondary_writes_still_promote;
         ] );
+      ( "router-props",
+        [ QCheck_alcotest.to_alcotest prop_router_matches_reference ] );
       ( "planner",
         [
           Alcotest.test_case "colocates hot pair" `Quick test_planner_colocates_pair;

@@ -336,6 +336,35 @@ let test_access_frequency_tracking () =
   Cluster.decay_access cl 0.5;
   Alcotest.(check (float 1e-9)) "decay preserves ratio" 0.1 (Cluster.normalized_freq cl 1)
 
+(* [normalized_freq] reads a cached peak; after any sequence of touches
+   and decays (factors drawn from [0,1], almost never powers of two) it
+   must equal, bit for bit, the fraction of a fresh scan for the
+   hottest counter. An op [(p, f)] touches partition [p] when [p >= 0]
+   and decays every counter by [f] otherwise. *)
+let prop_cached_access_peak =
+  QCheck.Test.make ~name:"cached access peak matches a scan" ~count:200
+    QCheck.(list (pair (int_range (-2) 7) (float_bound_inclusive 1.0)))
+    (fun ops ->
+      let cl = mk_cluster () in
+      let access = cl.Cluster.part_access in
+      let matches_scan () =
+        let hottest = Array.fold_left Float.max 0.0 access in
+        let ok = ref true in
+        for p = 0 to Array.length access - 1 do
+          let expect = if hottest <= 0.0 then 0.0 else access.(p) /. hottest in
+          if
+            Int64.bits_of_float (Cluster.normalized_freq cl p)
+            <> Int64.bits_of_float expect
+          then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (fun (p, f) ->
+          if p >= 0 then Cluster.touch_partition cl p else Cluster.decay_access cl f;
+          matches_scan ())
+        ops)
+
 let test_rpc_consumes_remote_service () =
   let cl = mk_cluster () in
   let finished = ref (-1.0) in
@@ -963,6 +992,7 @@ let () =
             test_rpc_consumes_remote_service;
           Alcotest.test_case "replication bytes" `Quick test_replicate_commit_charges_bytes;
         ] );
+      qsuite "cluster-props" [ prop_cached_access_peak ];
       ( "placement-stats",
         [
           Alcotest.test_case "counts" `Quick test_stats_counts;
